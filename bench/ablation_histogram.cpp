@@ -13,7 +13,6 @@
 #include "sas/prefix_tree.hpp"
 #include "shmem/shmem.hpp"
 #include "sim/team.hpp"
-#include "sort/radix_parallel.hpp"
 
 namespace {
 

@@ -14,9 +14,6 @@
 //                 default from DSMSORT_JOBS, else 1)
 //                 --kernels reference|optimized (host radix kernels;
 //                 charge-invariant, default optimized or DSMSORT_KERNELS)
-//                 --kernel-jobs N (host threads per simulated rank inside
-//                 the kernel loops; 0 = hardware threads, default from
-//                 DSMSORT_KERNEL_JOBS, else 1; charge-invariant)
 #pragma once
 
 #include <iostream>
@@ -52,9 +49,8 @@ inline BenchEnv parse_env(int argc, char** argv,
                           const std::string& default_procs = "16,32,64",
                           std::vector<std::string> extra_known = {}) {
   ArgParser args(argc, argv);
-  std::vector<std::string> known{"sizes", "procs", "radix",       "seed",
-                                 "full",  "csv",   "jobs",        "kernels",
-                                 "kernel-jobs"};
+  std::vector<std::string> known{"sizes", "procs", "radix", "seed",
+                                 "full",  "csv",   "jobs",  "kernels"};
   known.insert(known.end(), extra_known.begin(), extra_known.end());
   args.check_known(known);
 
@@ -71,10 +67,6 @@ inline BenchEnv parse_env(int argc, char** argv,
   if (!kernels.empty()) {
     sort::set_default_kernel_backend(sort::kernel_backend_from_name(kernels));
   }
-  if (args.has("kernel-jobs")) {
-    sort::set_default_kernel_jobs(
-        static_cast<int>(args.get_int("kernel-jobs", 0)));
-  }
   return env;
 }
 
@@ -89,8 +81,7 @@ inline void banner(const std::string& what, const BenchEnv& env) {
   std::cout << "  engine: " << engine_name(default_spmd_engine())
             << "  kernels: "
             << sort::kernel_backend_name(sort::default_kernel_backend())
-            << " (isa " << sort::kernel_isa_name()
-            << ", kernel-jobs " << sort::default_kernel_jobs() << ")"
+            << " (isa " << sort::kernel_isa_name() << ")"
             << "  jobs: " << env.jobs;
   std::cout << "\n\n";
 }

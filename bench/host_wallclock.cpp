@@ -164,7 +164,7 @@ KernelSplit timed_kernel_sort(sort::KernelBackend be, std::span<Key> keys,
   double t = now_s();
   const std::span<std::uint64_t> pass_hist(
       ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  sort::multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
+  sort::multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist);
   split.hist_s += now_s() - t;
   bool in_keys = true;
   for (int pass = 0; pass < passes; ++pass) {
@@ -239,55 +239,6 @@ KernelCell timed_kernel_cell(std::uint64_t n, int radix_bits, int reps,
   DSM_CHECK(work == expect, "kernel backends disagree on sorted output");
   cell.speedup = cell.reference.total() / cell.optimized.total();
   return cell;
-}
-
-/// Threaded kernel mode: the same optimized sort with histogram+permute
-/// sharded across `jobs` host threads. Output must stay byte-identical to
-/// the serial run for every thread count.
-struct ThreadedCell {
-  std::uint64_t n = 0;
-  int radix_bits = 0;
-  int jobs = 0;
-  double total_s = 0;
-  double speedup_vs_serial = 0;
-};
-
-std::vector<ThreadedCell> timed_threaded_cells(std::uint64_t n,
-                                               const std::vector<int>& radixes,
-                                               const std::vector<int>& jobs,
-                                               int reps, std::uint64_t seed) {
-  std::vector<ThreadedCell> out;
-  for (const int rb : radixes) {
-    std::vector<Key> input(n);
-    keys::GenSpec gen;
-    gen.n_total = n;
-    gen.nprocs = 1;
-    gen.radix_bits = rb;
-    gen.seed = seed;
-    keys::generate(keys::Dist::kGauss, input, gen);
-    std::vector<Key> work(n), tmp(n), serial_sorted;
-    double serial_s = 0;
-    for (const int j : jobs) {
-      sort::RadixWorkspace ws;
-      ws.jobs = j;
-      double best = 0;
-      for (int rep = 0; rep < reps; ++rep) {
-        std::copy(input.begin(), input.end(), work.begin());
-        const KernelSplit s = timed_kernel_sort(
-            sort::KernelBackend::kOptimized, work, tmp, rb, ws);
-        if (rep == 0 || s.total() < best) best = s.total();
-      }
-      if (j == jobs.front()) {
-        serial_sorted = work;
-        serial_s = best;
-      } else {
-        DSM_CHECK(work == serial_sorted,
-                  "threaded kernel mode changed the sorted output");
-      }
-      out.push_back(ThreadedCell{n, rb, j, best, serial_s / best});
-    }
-  }
-  return out;
 }
 
 /// Key+payload cell: the same optimized full sort with the kv32 payload
@@ -574,15 +525,6 @@ int main(int argc, char** argv) {
     }
     const double fig3_kernel_speedup = fig3_ref.total() / fig3_opt.total();
 
-    // Threaded kernel mode at the largest size: jobs must not change the
-    // sorted bytes; speedup over jobs=1 is informational (1-core hosts
-    // see ~1.0x or the small sharding overhead).
-    const std::vector<int> thread_jobs{1, 2, 4};
-    std::vector<int> thread_radix{env.radix_bits};
-    if (env.radix_bits != 16) thread_radix.push_back(16);
-    const std::vector<ThreadedCell> threaded = timed_threaded_cells(
-        env.sizes.back(), thread_radix, thread_jobs, kernel_reps, env.seed);
-
     // One key+payload cell at the largest size: the kv32 mirror's host
     // cost relative to the bare-key sort (stability machine-checked).
     const PairedCell paired = timed_paired_cell(
@@ -627,14 +569,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "  fig3-default kernel speedup (radix " << env.radix_bits
               << "): " << fmt_fixed(fig3_kernel_speedup, 2) << "x\n"
-              << "  threaded kernel mode (n=" << fmt_count(env.sizes.back())
-              << ", optimized, byte-identical output):\n";
-    for (const ThreadedCell& c : threaded) {
-      std::cout << "    r=" << c.radix_bits << " jobs=" << c.jobs << ": "
-                << fmt_fixed(c.total_s, 3) << "s ("
-                << fmt_fixed(c.speedup_vs_serial, 2) << "x vs jobs=1)\n";
-    }
-    std::cout << "  key+payload (kv32) cell (n=" << fmt_count(paired.n)
+              << "  key+payload (kv32) cell (n=" << fmt_count(paired.n)
               << " r=" << paired.radix_bits << ", dup keys): plain "
               << fmt_fixed(paired.plain_s, 3) << "s -> paired "
               << fmt_fixed(paired.paired_s, 3) << "s ("
@@ -690,20 +625,6 @@ int main(int argc, char** argv) {
        << ", \"reference\": " << json_split(fig3_ref)
        << ", \"optimized\": " << json_split(fig3_opt)
        << ", \"speedup\": " << fmt_fixed(fig3_kernel_speedup, 3) << "}},\n"
-       << "  \"threaded\": {\"description\": \"optimized kernels with "
-       << "histogram+permute sharded over host threads; output "
-       << "byte-identical to jobs=1 at every thread count\",\n"
-       << "    \"cells\": [\n";
-    for (std::size_t i = 0; i < threaded.size(); ++i) {
-      const ThreadedCell& c = threaded[i];
-      js << "      {\"n\": " << c.n << ", \"radix_bits\": " << c.radix_bits
-         << ", \"jobs\": " << c.jobs
-         << ", \"total_s\": " << fmt_fixed(c.total_s, 4)
-         << ", \"speedup_vs_serial\": "
-         << fmt_fixed(c.speedup_vs_serial, 3) << "}"
-         << (i + 1 < threaded.size() ? "," : "") << "\n";
-    }
-    js << "    ]},\n"
        << "  \"paired\": {\"description\": \"kv32 record: optimized sort "
        << "with the host payload mirror vs the bare-key sort, dup-heavy "
        << "keys, stability machine-checked\", \"n\": " << paired.n

@@ -49,32 +49,6 @@ BENCHMARK(BM_SeqRadixSort)
                    {static_cast<int>(sort::KernelBackend::kReference),
                     static_cast<int>(sort::KernelBackend::kOptimized)}});
 
-/// Threaded kernel mode: same optimized sort, histogram+permute sharded
-/// across host threads (args: n, radix_bits, jobs). Output is
-/// byte-identical to jobs=1 (the equivalence tier enforces it), so the
-/// items/s ratio across jobs is the pure threading speedup.
-void BM_SeqRadixSortThreaded(benchmark::State& state) {
-  const auto n = static_cast<Index>(state.range(0));
-  const int radix = static_cast<int>(state.range(1));
-  const int jobs = static_cast<int>(state.range(2));
-  const auto input = make_keys(n);
-  std::vector<Key> keys(n), tmp(n);
-  sort::RadixWorkspace ws;
-  ws.jobs = jobs;
-  for (auto _ : state) {
-    std::copy(input.begin(), input.end(), keys.begin());
-    sort::seq_radix_sort(keys, tmp, radix, sort::KernelBackend::kOptimized,
-                         ws);
-    benchmark::DoNotOptimize(keys.data());
-  }
-  state.SetLabel("jobs=" + std::to_string(jobs));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SeqRadixSortThreaded)
-    ->ArgsProduct({{1 << 20, 1 << 22}, {8, 16}, {1, 2, 4}})
-    ->UseRealTime();
-
 void BM_StdSort(benchmark::State& state) {
   const auto n = static_cast<Index>(state.range(0));
   const auto input = make_keys(n);

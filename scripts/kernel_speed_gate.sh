@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Kernel speed gate: run the host_wallclock kernel-cell sweep and fail if
 # the optimized backend is more than 5% slower than the reference in any
-# (n, radix_bits) cell, or if any threaded-mode cell changed the sorted
-# bytes (host_wallclock itself aborts on that). This is the regression
-# fence for the host kernel layer: "optimized" must never mean "slower".
+# (n, radix_bits) cell. This is the regression fence for the host kernel
+# layer: "optimized" must never mean "slower".
 #
 # Also gates the key+payload (kv32) cell: the payload mirror must cost a
 # bounded multiple of the bare-key sort (it adds one extra scatter pass

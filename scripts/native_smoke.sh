@@ -16,7 +16,7 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DDSMSORT_BUILD_BENCH=ON \
   -DDSMSORT_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" --target sort_tests host_wallclock -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Kernel|MultiHistogram|Permute|SeqRadixBackend|ChargedLocalSort|FullSortBackend|Threaded|ExchangeCopy|WcFlush|WorkerExchange'
+ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'Kernel|MultiHistogram|Permute|SeqRadixBackend|ChargedLocalSort|FullSortBackend|ExchangeCopy|WcFlush|WorkerExchange'
 
 # The vectorised kernels must also not be slower: gate the cell sweep.
 "$SRC_DIR/scripts/kernel_speed_gate.sh" "$BUILD_DIR/bench/host_wallclock" --quick

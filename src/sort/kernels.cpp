@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <thread>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -61,14 +59,6 @@ std::size_t env_wc_min_buckets() {
   return static_cast<std::size_t>(b);
 }
 
-int env_kernel_jobs() {
-  const long long j =
-      env_number("DSMSORT_KERNEL_JOBS", 0, 1ll << 16,
-                 "a base-10 thread count >= 0 (0 = all hardware threads)");
-  if (j < 0) return 1;
-  return static_cast<int>(j);
-}
-
 std::atomic<std::size_t>& staging_override() {
   static std::atomic<std::size_t> v{env_staging_bytes()};
   return v;
@@ -76,16 +66,6 @@ std::atomic<std::size_t>& staging_override() {
 
 std::atomic<std::size_t>& wc_min_buckets_override() {
   static std::atomic<std::size_t> v{env_wc_min_buckets()};
-  return v;
-}
-
-std::atomic<std::size_t>& shard_min_keys_override() {
-  static std::atomic<std::size_t> v{kDefaultShardMinKeys};
-  return v;
-}
-
-std::atomic<int>& kernel_jobs_override() {
-  static std::atomic<int> v{env_kernel_jobs()};
   return v;
 }
 
@@ -153,37 +133,6 @@ void set_kernel_wc_min_buckets(std::size_t buckets) {
   wc_min_buckets_override().store(buckets, std::memory_order_relaxed);
 }
 
-std::size_t kernel_shard_min_keys() {
-  return shard_min_keys_override().load(std::memory_order_relaxed);
-}
-
-void set_kernel_shard_min_keys(std::size_t keys) {
-  DSM_REQUIRE(keys >= 1, "shard floor must be >= 1 key");
-  shard_min_keys_override().store(keys, std::memory_order_relaxed);
-}
-
-int default_kernel_jobs() {
-  const int v = kernel_jobs_override().load(std::memory_order_relaxed);
-  if (v > 0) return v;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void set_default_kernel_jobs(int jobs) {
-  DSM_REQUIRE(jobs >= 0, "kernel jobs must be >= 0 (0 = hardware threads)");
-  kernel_jobs_override().store(jobs, std::memory_order_relaxed);
-}
-
-int effective_kernel_shards(int jobs, std::size_t n) {
-  const int j = jobs != 0 ? jobs : default_kernel_jobs();
-  if (j <= 1) return 1;
-  const std::size_t floor_keys = kernel_shard_min_keys();
-  const std::size_t by_n = n / floor_keys;
-  if (by_n <= 1) return 1;
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(j), by_n));
-}
-
 const char* kernel_isa_name() {
 #if defined(__AVX2__)
   if (host_avx2()) return "avx2";
@@ -234,39 +183,6 @@ std::uint64_t count_active(std::span<const std::uint64_t> hist) {
 }
 
 namespace {
-
-/// Even key-range split for the threaded mode. Shards only exist when
-/// n >= 2 * kernel_shard_min_keys(), so every shard is non-empty.
-std::size_t shard_begin(std::size_t n, int shards, int t) {
-  return n * static_cast<std::size_t>(t) / static_cast<std::size_t>(shards);
-}
-
-/// Run fn(0..shards-1) on `shards` host threads (the caller is shard 0)
-/// and rethrow the first shard failure after all have joined.
-template <typename Fn>
-void run_shards(int shards, const Fn& fn) {
-  std::vector<std::exception_ptr> errs(static_cast<std::size_t>(shards));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(shards) - 1);
-  for (int t = 1; t < shards; ++t) {
-    pool.emplace_back([&fn, &errs, t] {
-      try {
-        fn(t);
-      } catch (...) {
-        errs[static_cast<std::size_t>(t)] = std::current_exception();
-      }
-    });
-  }
-  try {
-    fn(0);
-  } catch (...) {
-    errs[0] = std::current_exception();
-  }
-  for (auto& th : pool) th.join();
-  for (const auto& e : errs) {
-    if (e) std::rethrow_exception(e);
-  }
-}
 
 #if defined(__AVX2__)
 /// Vectorized digit extraction for the counting pass: eight keys shifted
@@ -593,7 +509,7 @@ std::uint64_t permute_two_level(std::span<const Key> in, std::span<Key> out,
   return runs;
 }
 
-/// Serial optimized permute: gate between contiguous copy, one-level WC
+/// Optimized permute: gate between contiguous copy, one-level WC
 /// staging (streamed when DRAM-bound), the two-level scatter, and the
 /// reference loop. Every path is stable and cursor-consuming.
 std::uint64_t permute_optimized(std::span<const Key> in, std::span<Key> out,
@@ -651,75 +567,6 @@ std::uint64_t permute_optimized(std::span<const Key> in, std::span<Key> out,
   return permute_reference(in, out, pass, radix_bits, cursor);
 }
 
-/// Threaded optimized permute: shard the key range, histogram each shard,
-/// derive per-shard cursors from the stable-order prefix (shard t writes
-/// bucket b after all earlier shards' bucket-b keys), then scatter the
-/// shards concurrently — each through the full serial gate stack with its
-/// own staging workspace. Stability of every serial path plus the prefix
-/// split makes the output byte-identical to the serial permute for any
-/// shard count; `runs` is stitched from per-shard counts by un-counting
-/// shard boundaries that continue the previous shard's last digit.
-std::uint64_t permute_threaded(std::span<const Key> in, std::span<Key> out,
-                               int pass, int radix_bits,
-                               std::span<std::uint64_t> cursor,
-                               RadixWorkspace& ws, int shards) {
-  const std::size_t n = in.size();
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  const auto sc = static_cast<std::size_t>(shards);
-  if (ws.shards.size() < sc) ws.shards.resize(sc);
-  if (ws.shard_hist.size() < sc * buckets) ws.shard_hist.resize(sc * buckets);
-  if (ws.shard_cursor.size() < sc * buckets) {
-    ws.shard_cursor.resize(sc * buckets);
-  }
-  // Phase 1 (parallel): per-shard digit histograms.
-  run_shards(shards, [&](int t) {
-    const std::size_t b0 = shard_begin(n, shards, t);
-    const std::size_t b1 = shard_begin(n, shards, t + 1);
-    const std::span<std::uint64_t> h(
-        ws.shard_hist.data() + static_cast<std::size_t>(t) * buckets,
-        buckets);
-    (void)histogram_kernel(KernelBackend::kOptimized,
-                           in.subspan(b0, b1 - b0), pass, radix_bits, h);
-  });
-  // Serial: stable-order per-shard cursors, consuming the caller's.
-  for (std::size_t b = 0; b < buckets; ++b) {
-    std::uint64_t acc = cursor[b];
-    for (std::size_t t = 0; t < sc; ++t) {
-      ws.shard_cursor[t * buckets + b] = acc;
-      acc += ws.shard_hist[t * buckets + b];
-    }
-    cursor[b] = acc;
-  }
-  // Phase 2 (parallel): independent stable scatters.
-  std::vector<std::uint64_t> shard_runs(sc, 0);
-  run_shards(shards, [&](int t) {
-    const std::size_t b0 = shard_begin(n, shards, t);
-    const std::size_t b1 = shard_begin(n, shards, t + 1);
-    const auto ti = static_cast<std::size_t>(t);
-    RadixWorkspace& sw = ws.shards[ti];
-    sw.jobs = 1;
-    sw.prepare(radix_bits, 1);
-    const std::span<std::uint64_t> cur(
-        ws.shard_cursor.data() + ti * buckets, buckets);
-    const std::span<const std::uint64_t> h(
-        ws.shard_hist.data() + ti * buckets, buckets);
-    shard_runs[ti] = permute_optimized(in.subspan(b0, b1 - b0), out, pass,
-                                       radix_bits, cur, count_active(h), sw);
-  });
-  // Stitch the measured run counts across shard boundaries.
-  std::uint64_t runs = 0;
-  std::uint32_t prev_digit = ~0u;
-  for (int t = 0; t < shards; ++t) {
-    const std::size_t b0 = shard_begin(n, shards, t);
-    const std::size_t b1 = shard_begin(n, shards, t + 1);
-    const std::uint32_t first = radix_digit(in[b0], pass, radix_bits);
-    runs += shard_runs[static_cast<std::size_t>(t)] -
-            (first == prev_digit ? 1 : 0);
-    prev_digit = radix_digit(in[b1 - 1], pass, radix_bits);
-  }
-  return runs;
-}
-
 }  // namespace
 
 std::uint64_t histogram_kernel(KernelBackend be, std::span<const Key> keys,
@@ -738,42 +585,6 @@ std::uint64_t histogram_kernel(KernelBackend be, std::span<const Key> keys,
   (void)be;
 #endif
   for (const Key k : keys) ++hist[radix_digit(k, pass, radix_bits)];
-  return count_active(hist);
-}
-
-std::uint64_t histogram_kernel(KernelBackend be, std::span<const Key> keys,
-                               int pass, int radix_bits,
-                               std::span<std::uint64_t> hist,
-                               RadixWorkspace& ws) {
-  const int shards = be == KernelBackend::kOptimized
-                         ? effective_kernel_shards(ws.jobs, keys.size())
-                         : 1;
-  if (shards <= 1) {
-    return histogram_kernel(be, keys, pass, radix_bits, hist);
-  }
-  DSM_REQUIRE(hist.size() == std::size_t{1} << radix_bits,
-              "histogram span size mismatch");
-  const std::size_t buckets = hist.size();
-  const std::size_t n = keys.size();
-  const auto sc = static_cast<std::size_t>(shards);
-  if (ws.shard_hist.size() < sc * buckets) ws.shard_hist.resize(sc * buckets);
-  run_shards(shards, [&](int t) {
-    const std::size_t b0 = shard_begin(n, shards, t);
-    const std::size_t b1 = shard_begin(n, shards, t + 1);
-    const std::span<std::uint64_t> h(
-        ws.shard_hist.data() + static_cast<std::size_t>(t) * buckets,
-        buckets);
-    (void)histogram_kernel(be, keys.subspan(b0, b1 - b0), pass, radix_bits,
-                           h);
-  });
-  // Fixed shard-order sum: exactly the serial histogram.
-  for (std::size_t b = 0; b < buckets; ++b) {
-    std::uint64_t sum = 0;
-    for (std::size_t t = 0; t < sc; ++t) {
-      sum += ws.shard_hist[t * buckets + b];
-    }
-    hist[b] = sum;
-  }
   return count_active(hist);
 }
 
@@ -834,42 +645,6 @@ void multi_histogram_kernel(KernelBackend be, std::span<const Key> keys,
   }
 }
 
-void multi_histogram_kernel(KernelBackend be, std::span<const Key> keys,
-                            int passes, int radix_bits,
-                            std::span<std::uint64_t> pass_hist,
-                            RadixWorkspace& ws) {
-  const int shards = be == KernelBackend::kOptimized
-                         ? effective_kernel_shards(ws.jobs, keys.size())
-                         : 1;
-  if (shards <= 1) {
-    multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist);
-    return;
-  }
-  DSM_REQUIRE(passes >= 1, "need at least one pass");
-  const std::size_t buckets = std::size_t{1} << radix_bits;
-  const std::size_t rows = static_cast<std::size_t>(passes) * buckets;
-  DSM_REQUIRE(pass_hist.size() >= rows, "pass_hist too small");
-  const std::size_t n = keys.size();
-  const auto sc = static_cast<std::size_t>(shards);
-  if (ws.shards.size() < sc) ws.shards.resize(sc);
-  run_shards(shards, [&](int t) {
-    const std::size_t b0 = shard_begin(n, shards, t);
-    const std::size_t b1 = shard_begin(n, shards, t + 1);
-    RadixWorkspace& sw = ws.shards[static_cast<std::size_t>(t)];
-    sw.jobs = 1;
-    if (sw.pass_hist.size() < rows) sw.pass_hist.resize(rows);
-    multi_histogram_kernel(be, keys.subspan(b0, b1 - b0), passes, radix_bits,
-                           std::span<std::uint64_t>(sw.pass_hist.data(),
-                                                    rows));
-  });
-  // Fixed shard-order sum: exactly the serial table.
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::uint64_t sum = 0;
-    for (std::size_t t = 0; t < sc; ++t) sum += ws.shards[t].pass_hist[r];
-    pass_hist[r] = sum;
-  }
-}
-
 std::uint64_t permute_kernel(KernelBackend be, std::span<const Key> in,
                              std::span<Key> out, int pass, int radix_bits,
                              std::span<std::uint64_t> cursor,
@@ -878,14 +653,6 @@ std::uint64_t permute_kernel(KernelBackend be, std::span<const Key> in,
   DSM_REQUIRE(cursor.size() == buckets, "cursor span size mismatch");
   if (be == KernelBackend::kReference) {
     return permute_reference(in, out, pass, radix_bits, cursor);
-  }
-  const std::size_t n = in.size();
-  if (n == 0) return 0;
-  if (active > 1) {
-    const int shards = effective_kernel_shards(ws.jobs, n);
-    if (shards > 1) {
-      return permute_threaded(in, out, pass, radix_bits, cursor, ws, shards);
-    }
   }
   return permute_optimized(in, out, pass, radix_bits, cursor, active, ws);
 }

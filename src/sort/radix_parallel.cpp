@@ -1,100 +1,17 @@
-#include "sort/radix_parallel.hpp"
-
+// Parallel LSD radix sort (§3.1 of the paper), one rank body for every
+// programming model. Per pass:
+//   1. local histogram of the current r-bit digit;
+//   2. global histogram: the model's histogram collective;
+//   3. permutation into the output array (all-to-all personalised
+//      communication) — the model's permute/exchange step.
+// The models differ only in steps 2 and 3 (see model_runtime.hpp).
 #include <algorithm>
-#include <cstring>
 
-#include "common/bits.hpp"
-#include "common/error.hpp"
+#include "sort/model_runtime.hpp"
 #include "sort/seq_radix.hpp"
 
 namespace dsm::sort {
 namespace {
-
-constexpr std::uint64_t kLine = 128;  // Origin L2 line (bytes)
-
-/// Exclusive prefix of `counts` into `starts` (same size), charged.
-void exclusive_prefix(sim::ProcContext& ctx,
-                      std::span<const std::uint64_t> counts,
-                      std::span<std::uint64_t> starts) {
-  std::uint64_t acc = 0;
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    starts[b] = acc;
-    acc += counts[b];
-  }
-  ctx.busy_cycles(static_cast<double>(counts.size()) *
-                  ctx.params().cpu.scan_cycles);
-}
-
-/// From allgathered histograms (p rows x B), compute this rank's
-/// rank_prefix[b] = sum of lower ranks' bucket-b counts, and the global
-/// exclusive bucket starts. Charged as the redundant local computation the
-/// MPI/SHMEM versions perform.
-void prefixes_from_allhists(sim::ProcContext& ctx,
-                            std::span<const std::uint64_t> all_hist,
-                            std::size_t buckets,
-                            std::span<std::uint64_t> rank_prefix,
-                            std::span<std::uint64_t> global_start) {
-  const int p = ctx.nprocs();
-  const int r = ctx.rank();
-  DSM_REQUIRE(all_hist.size() == static_cast<std::size_t>(p) * buckets,
-              "allgathered histogram size mismatch");
-  std::fill(rank_prefix.begin(), rank_prefix.end(), 0);
-  std::fill(global_start.begin(), global_start.end(), 0);
-  // global_start temporarily holds global counts.
-  for (int j = 0; j < p; ++j) {
-    const std::uint64_t* row = all_hist.data() +
-                               static_cast<std::size_t>(j) * buckets;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      if (j < r) rank_prefix[b] += row[b];
-      global_start[b] += row[b];
-    }
-  }
-  std::uint64_t acc = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    const std::uint64_t c = global_start[b];
-    global_start[b] = acc;
-    acc += c;
-  }
-  const auto cells = static_cast<double>(static_cast<std::size_t>(p) * buckets);
-  ctx.busy_cycles(cells * ctx.params().cpu.scan_cycles);
-  ctx.stream(static_cast<std::uint64_t>(p) * buckets * sizeof(std::uint64_t),
-             static_cast<std::uint64_t>(p) * buckets * sizeof(std::uint64_t));
-}
-
-/// Buffered local permutation: scatter `keys` into `buf` in bucket-major
-/// order (the local staging step of CC-SAS-NEW / MPI / SHMEM). On return
-/// `local_prefix[b]` is the start of bucket b's chunk within buf. Charged
-/// with the measured run structure; the backend only changes how the host
-/// executes the scatter.
-void buffered_permute(sim::ProcContext& ctx, std::span<const Key> keys,
-                      std::span<Key> buf, int pass, int radix_bits,
-                      std::span<const std::uint64_t> local_hist,
-                      std::span<std::uint64_t> local_prefix,
-                      std::span<std::uint64_t> cursor, std::uint64_t active,
-                      KernelBackend be, RadixWorkspace& ws) {
-  exclusive_prefix(ctx, local_hist, local_prefix);
-  std::copy(local_prefix.begin(), local_prefix.end(), cursor.begin());
-  charged_local_permute(ctx, keys, buf, pass, radix_bits, cursor, active, be,
-                        ws);
-  ctx.busy_cycles(static_cast<double>(keys.size()) *
-                  ctx.params().cpu.buffer_copy_cycles);
-}
-
-/// Split the contiguous destination range [gpos, gpos+count) by owner
-/// partition; fn(dst, gpos_piece, offset_within_chunk, len).
-template <typename Fn>
-void for_each_piece(const sas::HomeMap& homes, std::uint64_t gpos,
-                    std::uint64_t count, Fn&& fn) {
-  std::uint64_t off = 0;
-  while (count > 0) {
-    const int dst = homes.owner_of(gpos);
-    const std::uint64_t len = std::min(count, homes.end_of(dst) - gpos);
-    fn(dst, gpos, off, len);
-    gpos += len;
-    off += len;
-    count -= len;
-  }
-}
 
 /// Local max of a key span, charged as one sweep.
 Key charged_local_max(sim::ProcContext& ctx, std::span<const Key> keys) {
@@ -108,658 +25,27 @@ Key charged_local_max(sim::ProcContext& ctx, std::span<const Key> keys) {
 
 }  // namespace
 
-void radix_ccsas(sim::ProcContext& ctx, CcSasRadixWorld& w) {
-  DSM_REQUIRE(w.a != nullptr && w.b != nullptr && w.scan != nullptr,
-              "CC-SAS radix world is incomplete");
-  DSM_REQUIRE(w.a->size() == w.b->size(), "toggle arrays must match");
-  const bool paired = w.pay_a != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_b != nullptr &&
-                          w.pay_a->size() == w.a->size() &&
-                          w.pay_b->size() == w.b->size()),
-              "payload lanes must mirror both toggle arrays");
-  const int p = ctx.nprocs();
+void radix_rank(sim::ProcContext& ctx, ModelRuntime& rt) {
+  const SortSpec& spec = rt.spec();
   const int r = ctx.rank();
-  const std::size_t buckets = std::size_t{1} << w.radix_bits;
-  DSM_REQUIRE(w.scan->buckets() == buckets, "BucketScan bucket mismatch");
-  const sas::HomeMap& homes = w.a->homes();
-  int passes = radix_passes(w.radix_bits);
-  if (w.detect_max_key) {
-    const Key local_max = charged_local_max(ctx, w.a->partition(r));
-    const auto global_max =
-        static_cast<Key>(sas::ccsas_max_reduce(ctx, local_max));
-    passes = radix_passes_for_max(w.radix_bits, global_max);
+  RadixRank s(spec.radix_bits, rt.paired());
+  s.passes = radix_passes(spec.radix_bits);
+  if (spec.ablations.detect_max_key) {
+    // §3.1: "the maximum key value determines how many iterations will
+    // actually be needed".
+    const Key local_max = charged_local_max(ctx, rt.part(0, r));
+    s.passes = radix_passes_for_max(spec.radix_bits,
+                                    rt.max_reduce(ctx, local_max));
   }
-  w.passes_used.store(passes, std::memory_order_relaxed);
-  const std::uint64_t part_bytes = homes.count_of(r) * sizeof(Key);
-
-  // All per-pass scratch is hoisted here and re-zeroed in the loop, so a
-  // pass allocates nothing.
-  std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
-      global_cnt(buckets), global_start(buckets), cursor(buckets),
-      local_prefix(buckets), owner_end(buckets);
-  std::vector<int> owner(buckets);
-  std::vector<std::uint64_t> bytes_to(static_cast<std::size_t>(p)),
-      runs_to(static_cast<std::size_t>(p)),
-      lines_to(static_cast<std::size_t>(p));
-  std::vector<sim::ScatteredTraffic> traffic;
-  traffic.reserve(static_cast<std::size_t>(p));
-  std::vector<Key> buf(w.buffered ? homes.count_of(r) : 0);
-  RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.kernel_jobs;
-  // Payload-mirror scratch (kv32 only): the starting-cursor snapshot the
-  // uncharged replay consumes, and the local staging lane for buffered
-  // mode.
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);
-  std::vector<keys::Payload> pay_buf(
-      paired && w.buffered ? homes.count_of(r) : 0);
-
-  sas::SharedArray<Key>* in = w.a;
-  sas::SharedArray<Key>* out = w.b;
-  std::vector<keys::Payload>* pay_in = w.pay_a;
-  std::vector<keys::Payload>* pay_out = w.pay_b;
-  const std::uint64_t my_begin = homes.begin_of(r);
-  for (int pass = 0; pass < passes; ++pass) {
-    const std::span<const Key> my_keys = in->partition(r);
+  rt.passes_used.store(s.passes, std::memory_order_relaxed);
+  for (s.pass = 0; s.pass < s.passes; ++s.pass) {
     ctx.phase("local histogram");
-    const std::uint64_t active = charged_histogram(
-        ctx, my_keys, pass, w.radix_bits, hist, w.kernels, ws);
+    s.active = charged_histogram(ctx, rt.part(s.in(), r), s.pass,
+                                 spec.radix_bits, s.hist, spec.kernel_backend);
     ctx.phase("global histogram");
-    w.scan->scan(ctx, hist, rank_prefix, global_cnt);
-    exclusive_prefix(ctx, global_cnt, global_start);
+    rt.histogram_collective(ctx, s);
     ctx.phase("permutation");
-
-    if (!w.buffered) {
-      // Original SPLASH-2 style: write each key straight to its global
-      // position — temporally scattered remote writes.
-      for (std::size_t b = 0; b < buckets; ++b) {
-        cursor[b] = global_start[b] + rank_prefix[b];
-      }
-      if (paired) std::copy(cursor.begin(), cursor.end(), mirror.begin());
-      ctx.busy_cycles(static_cast<double>(buckets) *
-                      ctx.params().cpu.scan_cycles);
-      // Each bucket's write cursor only moves forward, so its home owner
-      // advances monotonically too: track it with a boundary compare
-      // instead of the integer divide inside owner_of (one divide per key
-      // dominates this loop otherwise). Starting every bucket at owner 0
-      // costs at most p boundary steps per bucket over the whole pass.
-      for (std::size_t b = 0; b < buckets; ++b) {
-        owner[b] = 0;
-        owner_end[b] = homes.end_of(0);
-      }
-
-      const double permute_start_ns = ctx.clock().now_ns();
-      Key* const out_data = out->data();
-      // Worker-exchange write-combining: under the optimized backend the
-      // scattered remote stores are staged per bucket and flushed as
-      // contiguous lines (non-temporal on aligned full lines), exactly
-      // like the local WC permute. The measurement loop below — cursor
-      // positions, home-owner tracking, per-home byte/run tallies — is
-      // untouched, so every charge is identical; only the physical store
-      // order changes, and flushes land each key at its cursor position.
-      const bool stage_writes =
-          w.kernels == KernelBackend::kOptimized &&
-          buckets * kWcLineKeys * sizeof(Key) <= kernel_staging_bytes() &&
-          (part_bytes >= kWcMinFootprintBytes ||
-           (buckets >= kernel_wc_min_buckets() &&
-            my_keys.size() >= buckets * kWcLineKeys));
-      Key* wc = nullptr;
-      std::uint32_t* wfill = nullptr;
-      std::uint32_t* wneed = nullptr;
-      if (stage_writes) {
-        ws.prepare(w.radix_bits, 1);
-        wc = ws.wc_keys.data();
-        wfill = ws.wc_fill.data();
-        wneed = ws.wc_need.data();
-        // Phase each bucket's first flush to the destination's next
-        // 64-byte boundary so later full-line flushes can stream.
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const auto addr =
-              reinterpret_cast<std::uintptr_t>(out_data + cursor[b]);
-          const std::size_t off = (addr % 64u) / sizeof(Key);
-          wneed[b] = static_cast<std::uint32_t>(
-              off == 0 ? kWcLineKeys : kWcLineKeys - off);
-        }
-      }
-      std::uint64_t local_accesses = 0, local_runs = 0;
-      std::fill(bytes_to.begin(), bytes_to.end(), 0);
-      std::fill(runs_to.begin(), runs_to.end(), 0);
-      std::uint32_t prev_digit = ~0u;
-      for (const Key k : my_keys) {
-        const std::uint32_t d = radix_digit(k, pass, w.radix_bits);
-        const std::uint64_t pos = cursor[d]++;
-        if (!stage_writes) {
-          out_data[pos] = k;
-        } else {
-          std::uint32_t f = wfill[d];
-          wc[d * kWcLineKeys + f] = k;
-          ++f;
-          if (f == wneed[d]) {
-            wc_flush(out_data + (pos + 1 - f), wc + d * kWcLineKeys, f);
-            wneed[d] = kWcLineKeys;
-            f = 0;
-          }
-          wfill[d] = f;
-        }
-        while (pos >= owner_end[d]) {
-          ++owner[d];
-          owner_end[d] = homes.end_of(owner[d]);
-        }
-        const int home = owner[d];
-        const bool new_run = d != prev_digit;
-        prev_digit = d;
-        if (home == r) {
-          ++local_accesses;
-          local_runs += new_run ? 1 : 0;
-        } else {
-          bytes_to[static_cast<std::size_t>(home)] += sizeof(Key);
-          runs_to[static_cast<std::size_t>(home)] += new_run ? 1 : 0;
-        }
-      }
-      if (stage_writes) {
-        // Drain partial lines (restoring the all-zero staging invariant)
-        // and fence the streamed stores before the ownership hand-off.
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const std::uint32_t f = wfill[b];
-          if (f == 0) continue;
-          wc_flush(out_data + (cursor[b] - f), wc + b * kWcLineKeys, f);
-          wfill[b] = 0;
-        }
-        wc_store_fence();
-      }
-      if (paired) {
-        // Uncharged host-side replay of the exact scatter above, from the
-        // snapshotted starting cursors, onto the global payload lane.
-        payload_mirror_scatter(
-            my_keys,
-            std::span<const keys::Payload>(pay_in->data() + my_begin,
-                                           my_keys.size()),
-            std::span<keys::Payload>(*pay_out), pass, w.radix_bits, mirror);
-      }
-      ctx.busy_cycles(static_cast<double>(my_keys.size()) *
-                      ctx.params().cpu.permute_cycles);
-      ctx.stream(my_keys.size() * sizeof(Key), part_bytes);
-      if (local_accesses > 0) {
-        machine::AccessPattern ap;
-        ap.accesses = local_accesses;
-        ap.elem_bytes = sizeof(Key);
-        ap.runs = std::max<std::uint64_t>(1, local_runs);
-        ap.active_regions = std::max<std::uint64_t>(1, active);
-        ap.footprint_bytes = part_bytes;
-        ctx.scattered(ap);
-      }
-      std::uint64_t remote_bytes = 0;
-      for (int h = 0; h < p; ++h) {
-        remote_bytes += bytes_to[static_cast<std::size_t>(h)];
-      }
-      const auto profile = ctx.cost().scattered_write_profile(remote_bytes);
-      traffic.clear();
-      for (int h = 0; h < p; ++h) {
-        const auto hh = static_cast<std::size_t>(h);
-        if (bytes_to[hh] == 0) continue;
-        sim::ScatteredTraffic t;
-        t.writer = r;
-        t.home = h;
-        // Fine-grained interleaving re-fetches a line on almost every run
-        // switch; contiguous tails within a run transfer at line grain.
-        t.lines = std::max<std::uint64_t>(std::max<std::uint64_t>(1, runs_to[hh]),
-                                          ceil_div(bytes_to[hh], kLine));
-        t.per_line_ns = profile.per_line_ns;
-        t.transactions =
-            static_cast<double>(t.lines) * profile.transactions_per_line;
-        traffic.push_back(t);
-      }
-      // The stores overlap the permutation computation charged above.
-      const double overlap = ctx.clock().now_ns() - permute_start_ns;
-      ctx.team().scattered_write_epoch(ctx, traffic, overlap);
-    } else {
-      // CC-SAS-NEW (§4.2.1): buffer locally, then copy contiguous chunks.
-      const double permute_start_ns = ctx.clock().now_ns();
-      buffered_permute(ctx, my_keys, buf, pass, w.radix_bits, hist,
-                       local_prefix, cursor, active, w.kernels, ws);
-      if (paired) {
-        // Replay the staging scatter on the payload lane (local_prefix
-        // still holds the bucket starts; cursor was the consumed copy).
-        std::copy(local_prefix.begin(), local_prefix.end(), mirror.begin());
-        payload_mirror_scatter(
-            my_keys,
-            std::span<const keys::Payload>(pay_in->data() + my_begin,
-                                           my_keys.size()),
-            pay_buf, pass, w.radix_bits, mirror);
-      }
-      Key* const out_data = out->data();
-      std::fill(lines_to.begin(), lines_to.end(), 0);
-      std::uint64_t local_bytes = 0;
-      for (std::size_t b = 0; b < buckets; ++b) {
-        if (hist[b] == 0) continue;
-        const std::uint64_t gpos = global_start[b] + rank_prefix[b];
-        for_each_piece(homes, gpos, hist[b],
-                       [&](int dst, std::uint64_t gp, std::uint64_t off,
-                           std::uint64_t len) {
-                         exchange_copy(w.kernels, out_data + gp,
-                                       buf.data() + local_prefix[b] + off,
-                                       len, part_bytes);
-                         if (paired) {
-                           std::memcpy(pay_out->data() + gp,
-                                       pay_buf.data() + local_prefix[b] + off,
-                                       len * sizeof(keys::Payload));
-                         }
-                         if (dst == r) {
-                           local_bytes += len * sizeof(Key);
-                         } else {
-                           lines_to[static_cast<std::size_t>(dst)] +=
-                               ceil_div(len * sizeof(Key), kLine);
-                         }
-                       });
-      }
-      if (local_bytes > 0) ctx.stream(2 * local_bytes, part_bytes);
-      // The copy-out re-reads the staging buffer for the remote chunks.
-      std::uint64_t remote_lines = 0;
-      for (const std::uint64_t l : lines_to) remote_lines += l;
-      if (remote_lines > 0) ctx.stream(remote_lines * kLine, 2 * part_bytes);
-      traffic.clear();
-      for (int h = 0; h < p; ++h) {
-        const auto hh = static_cast<std::size_t>(h);
-        if (lines_to[hh] == 0) continue;
-        sim::ScatteredTraffic t;
-        t.writer = r;
-        t.home = h;
-        t.lines = lines_to[hh];
-        t.per_line_ns = ctx.params().mem.ccsas_block_line_ns;
-        // One pipelined RdEx per line.
-        t.transactions = static_cast<double>(lines_to[hh]);
-        traffic.push_back(t);
-      }
-      const double overlap = ctx.clock().now_ns() - permute_start_ns;
-      ctx.team().scattered_write_epoch(ctx, traffic, overlap);
-    }
-
-    ctx.phase("barrier");
-    sas::ccsas_barrier(ctx);
-    std::swap(in, out);
-    std::swap(pay_in, pay_out);
-  }
-}
-
-void radix_mpi(sim::ProcContext& ctx, MpiRadixWorld& w) {
-  DSM_REQUIRE(w.comm != nullptr && w.parts_a != nullptr && w.parts_b != nullptr,
-              "MPI radix world is incomplete");
-  const bool paired = w.pay_a != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_b != nullptr && w.chunk_messages),
-              "payload lanes need both mirrors and chunked messages");
-  const int p = ctx.nprocs();
-  const int r = ctx.rank();
-  const std::size_t buckets = std::size_t{1} << w.radix_bits;
-
-  Index n_total = 0;
-  for (const auto& part : *w.parts_a) n_total += part.size();
-  const sas::HomeMap homes(n_total, p);
-  const auto rr = static_cast<std::size_t>(r);
-  DSM_REQUIRE((*w.parts_a)[rr].size() == homes.count_of(r) &&
-                  (*w.parts_b)[rr].size() == homes.count_of(r),
-              "partition sizes must follow the block HomeMap");
-  const Index n_local = homes.count_of(r);
-  const std::uint64_t part_bytes = n_local * sizeof(Key);
-
-  std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
-      global_start(buckets), local_prefix(buckets), cursor(buckets),
-      run_prefix(buckets);
-  std::vector<std::uint64_t> all_hist(static_cast<std::size_t>(p) * buckets);
-  std::vector<std::uint64_t> matrix;  // coalesced-mode p x p key counts
-  std::vector<msg::Communicator::Send> sends;
-  std::vector<Key> buf(n_local);
-  RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.kernel_jobs;
-  std::vector<Key> stage;  // coalesced-mode receive staging
-  if (!w.chunk_messages) {
-    stage.resize(n_local);
-    matrix.resize(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
-  }
-  // Payload-mirror scratch (kv32 only; see CcSasRadixWorld::pay_a).
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);
-  std::vector<keys::Payload> pay_buf(paired ? n_local : 0);
-  std::vector<std::vector<keys::Payload>>* pay_parts_in = w.pay_a;
-  std::vector<std::vector<keys::Payload>>* pay_parts_out = w.pay_b;
-
-  std::vector<Key>* in = &(*w.parts_a)[rr];
-  std::vector<Key>* out = &(*w.parts_b)[rr];
-  int passes = radix_passes(w.radix_bits);
-  if (w.detect_max_key) {
-    const Key local_max = charged_local_max(ctx, *in);
-    const Key global_max = w.comm->allreduce_max<Key>(ctx, local_max);
-    passes = radix_passes_for_max(w.radix_bits, global_max);
-  }
-  w.passes_used.store(passes, std::memory_order_relaxed);
-  for (int pass = 0; pass < passes; ++pass) {
-    ctx.phase("local histogram");
-    const std::uint64_t active =
-        charged_histogram(ctx, *in, pass, w.radix_bits, hist, w.kernels, ws);
-    ctx.phase("global histogram");
-    w.comm->allgather<std::uint64_t>(ctx, hist, all_hist);
-    prefixes_from_allhists(ctx, all_hist, buckets, rank_prefix, global_start);
-    ctx.phase("permutation");
-    buffered_permute(ctx, *in, buf, pass, w.radix_bits, hist, local_prefix,
-                     cursor, active, w.kernels, ws);
-    if (paired) {
-      // Replay the staging scatter on the payload lane (see radix_ccsas).
-      std::copy(local_prefix.begin(), local_prefix.end(), mirror.begin());
-      payload_mirror_scatter(*in, (*pay_parts_in)[rr], pay_buf, pass,
-                             w.radix_bits, mirror);
-    }
-    ctx.phase("redistribution");
-
-    sends.clear();
-    if (w.chunk_messages) {
-      // One message per contiguously-destined chunk piece (the paper's
-      // preferred implementation) — placed directly at its final offset.
-      for (std::size_t b = 0; b < buckets; ++b) {
-        if (hist[b] == 0) continue;
-        const std::uint64_t gpos = global_start[b] + rank_prefix[b];
-        for_each_piece(
-            homes, gpos, hist[b],
-            [&](int dst, std::uint64_t gp, std::uint64_t off,
-                std::uint64_t len) {
-              const Key* src = buf.data() + local_prefix[b] + off;
-              if (paired) {
-                // Sender-side payload push: destination lanes are
-                // preallocated, pieces land at disjoint final offsets, and
-                // the collective exchange below orders every lane write
-                // before the receiver's next-pass reads.
-                std::memcpy(
-                    (*pay_parts_out)[static_cast<std::size_t>(dst)].data() +
-                        (gp - homes.begin_of(dst)),
-                    pay_buf.data() + local_prefix[b] + off,
-                    len * sizeof(keys::Payload));
-              }
-              if (dst == r) {
-                exchange_copy(w.kernels, out->data() + (gp - homes.begin_of(r)),
-                              src, len, part_bytes);
-                ctx.stream(2 * len * sizeof(Key), part_bytes);
-                return;
-              }
-              sends.push_back(msg::Communicator::Send{
-                  dst, (gp - homes.begin_of(dst)) * sizeof(Key),
-                  reinterpret_cast<const std::byte*>(src), len * sizeof(Key)});
-            });
-      }
-      w.comm->exchange(ctx, sends,
-                       std::as_writable_bytes(std::span<Key>(*out)));
-    } else {
-      // NAS-IS style ablation: one coalesced message per destination; the
-      // receiver reorganises pieces into place afterwards. A destination's
-      // pieces are contiguous in the bucket-major staging buffer (global
-      // positions ascend with the bucket), so the sender needs no extra
-      // copy — the cost moves to the receiver-side scatter.
-      //
-      // M[i][dst] = keys process i contributes to dst's partition, built
-      // in O(p * buckets) with running per-bucket rank prefixes.
-      std::fill(matrix.begin(), matrix.end(), 0);
-      std::fill(run_prefix.begin(), run_prefix.end(), 0);
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t* row =
-            all_hist.data() + static_cast<std::size_t>(j) * buckets;
-        for (std::size_t b = 0; b < buckets; ++b) {
-          if (row[b] == 0) continue;
-          for_each_piece(homes, global_start[b] + run_prefix[b], row[b],
-                         [&](int dst, std::uint64_t, std::uint64_t,
-                             std::uint64_t len) {
-                           matrix[static_cast<std::size_t>(j) *
-                                      static_cast<std::size_t>(p) +
-                                  static_cast<std::size_t>(dst)] += len;
-                         });
-          run_prefix[b] += row[b];
-        }
-      }
-      ctx.busy_cycles(static_cast<double>(static_cast<std::size_t>(p) *
-                                          buckets) *
-                      ctx.params().cpu.scan_cycles);
-
-      auto keys_from_to = [&](int src, int dst) {
-        return matrix[static_cast<std::size_t>(src) *
-                          static_cast<std::size_t>(p) +
-                      static_cast<std::size_t>(dst)];
-      };
-      // My blob for dst starts where my pieces to lower dsts end.
-      std::uint64_t my_buf_off = 0;
-      for (int dst = 0; dst < p; ++dst) {
-        const std::uint64_t len = keys_from_to(r, dst);
-        if (len == 0) continue;
-        std::uint64_t stage_off = 0;  // dst's staging offset for my blob
-        for (int i = 0; i < r; ++i) stage_off += keys_from_to(i, dst);
-        if (dst != r) {
-          sends.push_back(msg::Communicator::Send{
-              dst, stage_off * sizeof(Key),
-              reinterpret_cast<const std::byte*>(buf.data() + my_buf_off),
-              len * sizeof(Key)});
-        } else {
-          exchange_copy(w.kernels, stage.data() + stage_off,
-                        buf.data() + my_buf_off, len, part_bytes);
-          ctx.stream(2 * len * sizeof(Key), part_bytes);
-        }
-        my_buf_off += len;
-      }
-      w.comm->exchange(ctx, sends,
-                       std::as_writable_bytes(std::span<Key>(stage)));
-
-      // Receiver-side reorganisation: scatter pieces from the (by-source,
-      // by-bucket ordered) staging area to their final positions.
-      const std::uint64_t my_begin = homes.begin_of(r);
-      const std::uint64_t my_end = homes.end_of(r);
-      std::fill(run_prefix.begin(), run_prefix.end(), 0);
-      std::uint64_t stage_pos = 0;
-      std::uint64_t pieces = 0;
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t* row =
-            all_hist.data() + static_cast<std::size_t>(j) * buckets;
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const std::uint64_t cnt = row[b];
-          if (cnt == 0) continue;
-          const std::uint64_t gpos = global_start[b] + run_prefix[b];
-          const std::uint64_t lo = std::max(gpos, my_begin);
-          const std::uint64_t hi = std::min(gpos + cnt, my_end);
-          if (lo < hi) {
-            exchange_copy(w.kernels, out->data() + (lo - my_begin),
-                          stage.data() + stage_pos, hi - lo, part_bytes);
-            stage_pos += hi - lo;
-            ++pieces;
-          }
-          run_prefix[b] += cnt;
-        }
-      }
-      DSM_CHECK(stage_pos == n_local, "coalesced staging must refill the partition");
-      ctx.busy_cycles(static_cast<double>(n_local) *
-                      ctx.params().cpu.buffer_copy_cycles);
-      ctx.stream(n_local * sizeof(Key), part_bytes);  // staging read
-      if (n_local > 0) {
-        machine::AccessPattern ap;
-        ap.accesses = n_local;
-        ap.elem_bytes = sizeof(Key);
-        ap.runs = std::max<std::uint64_t>(1, pieces);
-        ap.active_regions = std::max<std::uint64_t>(1, pieces);
-        ap.footprint_bytes = part_bytes;
-        ctx.scattered(ap);
-      }
-    }
-
-    std::swap(in, out);
-    std::swap(pay_parts_in, pay_parts_out);
-  }
-  if (passes % 2 != 0) {
-    exchange_copy(w.kernels, out->data(), in->data(), n_local, part_bytes);
-    if (paired) {
-      std::memcpy((*pay_parts_out)[rr].data(), (*pay_parts_in)[rr].data(),
-                  n_local * sizeof(keys::Payload));
-    }
-    std::swap(in, out);
-    ctx.stream(2 * part_bytes, 2 * part_bytes);
-  }
-}
-
-void radix_shmem(sim::ProcContext& ctx, ShmemRadixWorld& w) {
-  DSM_REQUIRE(w.sh != nullptr, "SHMEM radix world is incomplete");
-  const bool paired = w.pay_a != nullptr;
-  DSM_REQUIRE(!paired || (w.pay_b != nullptr && w.pay_stage != nullptr &&
-                          !w.use_put),
-              "payload lanes need all three mirrors and the get path");
-  const int p = ctx.nprocs();
-  const int r = ctx.rank();
-  const std::size_t buckets = std::size_t{1} << w.radix_bits;
-  const sas::HomeMap homes(w.n_total, p);
-  const Index n_local = homes.count_of(r);
-  DSM_REQUIRE(n_local <= w.part_capacity, "partition exceeds capacity");
-  const std::uint64_t part_bytes = n_local * sizeof(Key);
-  shmem::SymmetricHeap& heap = w.sh->heap();
-
-  std::vector<std::uint64_t> hist(buckets), rank_prefix(buckets),
-      global_start(buckets), local_prefix(buckets), cursor(buckets),
-      run_prefix(buckets);
-  std::vector<std::uint64_t> all_hist(static_cast<std::size_t>(p) * buckets);
-  std::vector<shmem::GetOp> gets;
-  std::vector<shmem::PutOp> puts;
-  RadixWorkspace ws;  // hoisted kernel scratch, reused across passes
-  ws.jobs = w.kernel_jobs;
-  // Payload-mirror scratch (kv32 only; see ShmemRadixWorld::pay_a).
-  std::vector<std::uint64_t> mirror(paired ? buckets : 0);
-  std::vector<std::vector<keys::Payload>>* pay_parts_in = w.pay_a;
-  std::vector<std::vector<keys::Payload>>* pay_parts_out = w.pay_b;
-  const auto rr = static_cast<std::size_t>(r);
-
-  std::uint64_t in_off = w.off_a;
-  std::uint64_t out_off = w.off_b;
-  int passes = radix_passes(w.radix_bits);
-  if (w.detect_max_key) {
-    const Key local_max = charged_local_max(
-        ctx, std::span<const Key>(heap.at<Key>(r, in_off), n_local));
-    const Key global_max = w.sh->max_to_all<Key>(ctx, local_max);
-    passes = radix_passes_for_max(w.radix_bits, global_max);
-  }
-  w.passes_used.store(passes, std::memory_order_relaxed);
-  bool cold_input = false;
-  for (int pass = 0; pass < passes; ++pass) {
-    Key* const in = heap.at<Key>(r, in_off);
-    const std::span<const Key> my_keys(in, n_local);
-    if (cold_input) {
-      // Put-based delivery (ablation) leaves the keys in memory, not in
-      // this PE's cache: charge the cold re-fetch a get would have hidden.
-      const double extra =
-          ctx.cost().stream_ns(part_bytes, ctx.params().l2.bytes * 2) -
-          ctx.cost().stream_ns(part_bytes, part_bytes);
-      if (extra > 0) ctx.clock().charge(sim::Cat::kLMem, extra);
-      cold_input = false;
-    }
-    ctx.phase("local histogram");
-    const std::uint64_t active = charged_histogram(
-        ctx, my_keys, pass, w.radix_bits, hist, w.kernels, ws);
-    ctx.phase("global histogram");
-    w.sh->fcollect<std::uint64_t>(ctx, hist, all_hist);
-    prefixes_from_allhists(ctx, all_hist, buckets, rank_prefix, global_start);
-
-    ctx.phase("permutation");
-    Key* const stage = heap.at<Key>(r, w.off_stage);
-    buffered_permute(ctx, my_keys, std::span<Key>(stage, n_local), pass,
-                     w.radix_bits, hist, local_prefix, cursor, active,
-                     w.kernels, ws);
-    if (paired) {
-      // Replay the staging scatter on this PE's staged payload lane; the
-      // barrier below publishes it alongside the symmetric staging buffer.
-      std::copy(local_prefix.begin(), local_prefix.end(), mirror.begin());
-      payload_mirror_scatter(my_keys, (*pay_parts_in)[rr],
-                             (*w.pay_stage)[rr], pass, w.radix_bits, mirror);
-    }
-    ctx.phase("redistribution");
-    w.sh->barrier_all(ctx);  // staging buffers are now globally readable
-
-    if (!w.use_put) {
-      // Receiver-initiated: fetch every chunk piece that lands in my
-      // partition from its source PE's staging buffer.
-      Key* const out = heap.at<Key>(r, out_off);
-      const std::uint64_t my_begin = homes.begin_of(r);
-      const std::uint64_t my_end = homes.end_of(r);
-      gets.clear();
-      std::fill(run_prefix.begin(), run_prefix.end(), 0);  // sum of ranks < j
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t* row =
-            all_hist.data() + static_cast<std::size_t>(j) * buckets;
-        std::uint64_t src_prefix = 0;  // local prefix within j's staging
-        for (std::size_t b = 0; b < buckets; ++b) {
-          const std::uint64_t cnt = row[b];
-          if (cnt != 0) {
-            const std::uint64_t gpos = global_start[b] + run_prefix[b];
-            const std::uint64_t lo = std::max(gpos, my_begin);
-            const std::uint64_t hi = std::min(gpos + cnt, my_end);
-            if (lo < hi) {
-              const std::uint64_t bytes = (hi - lo) * sizeof(Key);
-              const std::uint64_t src_off =
-                  w.off_stage + (src_prefix + (lo - gpos)) * sizeof(Key);
-              if (paired) {
-                // Receiver-side payload pull from j's staged lane,
-                // published by the pre-redistribution barrier.
-                std::memcpy(
-                    (*pay_parts_out)[rr].data() + (lo - my_begin),
-                    (*w.pay_stage)[static_cast<std::size_t>(j)].data() +
-                        (src_prefix + (lo - gpos)),
-                    (hi - lo) * sizeof(keys::Payload));
-              }
-              if (j == r) {
-                exchange_copy(w.kernels, out + (lo - my_begin),
-                              stage + src_prefix + (lo - gpos),
-                              bytes / sizeof(Key), part_bytes);
-                ctx.stream(2 * bytes, part_bytes);
-              } else {
-                gets.push_back(shmem::GetOp{
-                    reinterpret_cast<std::byte*>(out + (lo - my_begin)), j,
-                    src_off, bytes});
-              }
-            }
-            run_prefix[b] += cnt;
-            src_prefix += cnt;
-          }
-        }
-      }
-      // Parameter computation sweep over the p x B histogram matrix.
-      ctx.busy_cycles(static_cast<double>(static_cast<std::size_t>(p) *
-                                          buckets) *
-                      ctx.params().cpu.scan_cycles);
-      w.sh->get_phase(ctx, gets);
-    } else {
-      // Sender-initiated ablation: push my chunks into their destinations.
-      puts.clear();
-      for (std::size_t b = 0; b < buckets; ++b) {
-        if (hist[b] == 0) continue;
-        const std::uint64_t gpos = global_start[b] + rank_prefix[b];
-        for_each_piece(
-            homes, gpos, hist[b],
-            [&](int dst, std::uint64_t gp, std::uint64_t off,
-                std::uint64_t len) {
-              const Key* src = stage + local_prefix[b] + off;
-              const std::uint64_t dst_off =
-                  out_off + (gp - homes.begin_of(dst)) * sizeof(Key);
-              if (dst == r) {
-                exchange_copy(w.kernels,
-                              heap.at<Key>(r, out_off) + (gp - homes.begin_of(r)),
-                              src, len, part_bytes);
-                ctx.stream(2 * len * sizeof(Key), part_bytes);
-                return;
-              }
-              puts.push_back(shmem::PutOp{
-                  reinterpret_cast<const std::byte*>(src), dst, dst_off,
-                  len * sizeof(Key)});
-            });
-      }
-      w.sh->put_phase(ctx, puts);
-      cold_input = true;
-    }
-    w.sh->barrier_all(ctx);
-    std::swap(in_off, out_off);
-    std::swap(pay_parts_in, pay_parts_out);
-  }
-  if (passes % 2 != 0) {
-    exchange_copy(w.kernels, heap.at<Key>(r, w.off_a),
-                  heap.at<Key>(r, w.off_b), n_local, part_bytes);
-    if (paired) {
-      std::memcpy((*w.pay_a)[rr].data(), (*pay_parts_in)[rr].data(),
-                  n_local * sizeof(keys::Payload));
-    }
-    ctx.stream(2 * part_bytes, 2 * part_bytes);
+    rt.radix_permute(ctx, s);
   }
 }
 

@@ -124,7 +124,7 @@ void seq_radix_sort(std::span<Key> keys, std::span<Key> tmp, int radix_bits,
   ws.prepare(radix_bits, passes);
   const std::span<std::uint64_t> pass_hist(
       ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
+  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist);
   const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
   bool in_keys = true;  // which toggle buffer currently holds the data
   for (int pass = 0; pass < passes; ++pass) {
@@ -160,11 +160,11 @@ std::uint64_t charged_histogram(sim::ProcContext& ctx,
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
-                                KernelBackend be, RadixWorkspace& ws) {
+                                KernelBackend be) {
   const std::size_t buckets = std::size_t{1} << radix_bits;
   DSM_REQUIRE(hist.size() == buckets, "histogram span size mismatch");
   const std::uint64_t active =
-      histogram_kernel(be, keys, pass, radix_bits, hist, ws);
+      histogram_kernel(be, keys, pass, radix_bits, hist);
   charge_histogram_pass(ctx, keys.size(), buckets);
   return active;
 }
@@ -247,7 +247,7 @@ void local_radix_sort(sim::ProcContext& ctx, std::span<Key> keys,
   ws.prepare(radix_bits, passes);
   const std::span<std::uint64_t> pass_hist(
       ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
+  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist);
   const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
   bool in_keys = true;  // which buffer physically holds the data
   for (int pass = 0; pass < passes; ++pass) {
@@ -330,7 +330,7 @@ void seq_radix_sort_paired(std::span<Key> keys, std::span<keys::Payload> pays,
   ws.prepare(radix_bits, passes);
   const std::span<std::uint64_t> pass_hist(
       ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
+  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist);
   const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
   bool in_keys = true;
   for (int pass = 0; pass < passes; ++pass) {
@@ -385,7 +385,7 @@ void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
     std::span<keys::Payload> pout = pay_tmp.subspan(0, n);
     for (int pass = 0; pass < passes; ++pass) {
       const std::uint64_t active =
-          charged_histogram(ctx, in, pass, radix_bits, hist, be, ws);
+          charged_histogram(ctx, in, pass, radix_bits, hist, be);
       std::uint64_t acc = 0;
       for (std::size_t b = 0; b < buckets; ++b) {
         const std::uint64_t c = hist[b];
@@ -413,7 +413,7 @@ void local_radix_sort_paired(sim::ProcContext& ctx, std::span<Key> keys,
   ws.prepare(radix_bits, passes);
   const std::span<std::uint64_t> pass_hist(
       ws.pass_hist.data(), static_cast<std::size_t>(passes) * buckets);
-  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist, ws);
+  multi_histogram_kernel(be, keys, passes, radix_bits, pass_hist);
   const std::span<std::uint64_t> cursor(ws.hist.data(), buckets);
   bool in_keys = true;
   for (int pass = 0; pass < passes; ++pass) {

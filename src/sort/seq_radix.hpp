@@ -81,13 +81,13 @@ std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 int radix_bits,
                                 std::span<std::uint64_t> hist);
 
-/// Backend- and workspace-aware overload: the optimized backend may use
-/// the vectorized counting loop and shard across `ws.jobs` host threads.
-/// The histogram and the charged time are identical either way.
+/// Backend-aware overload: the optimized backend may use the vectorized
+/// counting loop. The histogram and the charged time are identical either
+/// way.
 std::uint64_t charged_histogram(sim::ProcContext& ctx,
                                 std::span<const Key> keys, int pass,
                                 int radix_bits, std::span<std::uint64_t> hist,
-                                KernelBackend be, RadixWorkspace& ws);
+                                KernelBackend be);
 
 /// One instrumented permutation of `keys` into `out` by digit `pass`,
 /// using `offset` (size 2^radix_bits) as the running write cursors

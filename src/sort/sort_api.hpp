@@ -147,12 +147,6 @@ struct SortSpec {
   /// §9). Default: optimized, or DSMSORT_KERNELS / --kernels override.
   KernelBackend kernel_backend = default_kernel_backend();
 
-  /// Host threads per simulated rank for the kernel loops (histogram and
-  /// permute). 0 = inherit default_kernel_jobs() (DSMSORT_KERNEL_JOBS or
-  /// 1). Like `kernel_backend` this is charge-invariant: sorted output,
-  /// virtual times and replay JSON are byte-identical for every value.
-  int kernel_jobs = 0;
-
   /// Model-specific ablation knobs, grouped: every member has the paper's
   /// default, so ablation studies override exactly the knob they vary.
   struct Ablations {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+
 namespace dsm::sort {
 
 Checksum checksum_of(std::span<const Key> keys) {
@@ -32,36 +34,6 @@ bool runs_sorted(std::span<const std::span<const Key>> runs) {
     }
   }
   return true;
-}
-
-bool verify_sorted_runs(const Checksum& input,
-                        std::span<const std::span<const Key>> runs) {
-  Checksum c;
-  bool sorted = true;
-  Key prev = 0;  // Key is unsigned, so the first compare is never a miss
-  for (const auto& run : runs) {
-    c.count += run.size();
-    for (const Key k : run) {
-      const auto v = static_cast<std::uint64_t>(k);
-      c.sum += v;
-      c.xor_ ^= v * 0x9e3779b97f4a7c15ull;
-      c.sum_sq += v * v;
-      sorted = sorted && k >= prev;
-      prev = k;
-    }
-  }
-  return sorted && c == input;
-}
-
-std::uint64_t run_order_hash(std::span<const std::span<const Key>> runs) {
-  // FNV-1a, one 32-bit key per step: position-sensitive by construction.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& run : runs) {
-    for (const Key k : run) {
-      h = (h ^ static_cast<std::uint64_t>(k)) * 1099511628211ull;
-    }
-  }
-  return h;
 }
 
 bool exact_multiset_equal(std::span<const Key> a, std::span<const Key> b) {
@@ -97,44 +69,45 @@ std::uint64_t pair_fingerprint(std::span<const Key> keys,
   return fp;
 }
 
-bool verify_sorted_runs_paired(
-    const Checksum& input_keys, std::uint64_t input_pairs,
+RunDigest digest_runs(
     std::span<const std::span<const Key>> key_runs,
-    std::span<const std::span<const keys::Payload>> payload_runs,
-    bool require_stable) {
-  if (key_runs.size() != payload_runs.size()) return false;
-  Checksum c;
-  std::uint64_t fp = 0;
-  std::uint64_t total = 0;
-  bool ok = true;
-  Key prev = 0;
+    std::span<const std::span<const keys::Payload>> payload_runs) {
+  const bool paired = !payload_runs.empty();
+  DSM_REQUIRE(!paired || payload_runs.size() == key_runs.size(),
+              "one payload lane per key run");
+  RunDigest d;
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a, one key per step
+  Key prev = 0;  // Key is unsigned, so the first compare is never a miss
   keys::Payload prev_pay = 0;
-  bool have_prev = false;
+  bool first = true;
   for (std::size_t r = 0; r < key_runs.size(); ++r) {
-    const auto& keys_run = key_runs[r];
-    const auto& pay_run = payload_runs[r];
-    if (keys_run.size() != pay_run.size()) return false;
-    c.count += keys_run.size();
-    total += keys_run.size();
-    for (std::size_t i = 0; i < keys_run.size(); ++i) {
-      const Key k = keys_run[i];
-      const keys::Payload p = pay_run[i];
+    const std::span<const Key> run = key_runs[r];
+    d.keys.count += run.size();
+    const std::span<const keys::Payload> pays =
+        paired ? payload_runs[r] : std::span<const keys::Payload>();
+    DSM_REQUIRE(!paired || pays.size() == run.size(),
+                "payload lane must mirror its key run");
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const Key k = run[i];
       const auto v = static_cast<std::uint64_t>(k);
-      c.sum += v;
-      c.xor_ ^= v * 0x9e3779b97f4a7c15ull;
-      c.sum_sq += v * v;
-      fp += mix_pair(k, p);
-      if (have_prev) {
-        ok = ok && k >= prev;
-        if (require_stable && k == prev) ok = ok && p > prev_pay;
+      d.keys.sum += v;
+      d.keys.xor_ ^= v * 0x9e3779b97f4a7c15ull;
+      d.keys.sum_sq += v * v;
+      h = (h ^ v) * 1099511628211ull;
+      if (paired) {
+        const keys::Payload p = pays[i];
+        d.pairs += mix_pair(k, p);
+        if (!first && k == prev) d.stable = d.stable && p > prev_pay;
+        prev_pay = p;
       }
+      d.sorted = d.sorted && k >= prev;
       prev = k;
-      prev_pay = p;
-      have_prev = true;
+      first = false;
     }
   }
-  fp += total * 0x9e3779b97f4a7c15ull;
-  return ok && c == input_keys && fp == input_pairs;
+  d.order_hash = h;
+  if (paired) d.pairs += d.keys.count * 0x9e3779b97f4a7c15ull;
+  return d;
 }
 
 }  // namespace dsm::sort

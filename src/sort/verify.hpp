@@ -28,22 +28,8 @@ Checksum combine(const Checksum& a, const Checksum& b);
 /// True if the concatenation of `runs` (in order) is ascending.
 bool runs_sorted(std::span<const std::span<const Key>> runs);
 
-/// Fused verification: checksum(runs) == `input` AND the concatenation is
-/// ascending, in a single sweep over the output (the separate
-/// checksum_of + runs_sorted passes read every key twice).
-bool verify_sorted_runs(const Checksum& input,
-                        std::span<const std::span<const Key>> runs);
-
 /// Exact multiset equality (sorts copies; test-only sizes).
 bool exact_multiset_equal(std::span<const Key> a, std::span<const Key> b);
-
-/// Order-DEPENDENT fingerprint of the concatenated runs (FNV-1a over the
-/// key bytes in output order). The complement of the multiset Checksum:
-/// the Checksum proves a worker's result is a permutation of the input it
-/// was asked to sort; this hash pins *which* permutation, so the master
-/// can tell two honest hedged results agree without shipping the keys
-/// back over the wire (DESIGN.md §12).
-std::uint64_t run_order_hash(std::span<const std::span<const Key>> runs);
 
 /// Order-independent fingerprint of the (key, payload) pair multiset —
 /// each pair mixed through a 64-bit finalizer before the commutative
@@ -51,19 +37,31 @@ std::uint64_t run_order_hash(std::span<const std::span<const Key>> runs);
 std::uint64_t pair_fingerprint(std::span<const Key> keys,
                                std::span<const keys::Payload> payloads);
 
-/// kv32 verification for runs of (key lane, payload lane) pairs:
-///   * the key concatenation is ascending,
-///   * the pair multiset equals `input_pairs` (pairing survived every
-///     permutation — no payload was dropped, duplicated, or re-matched),
-///   * within every run of equal keys the payloads ascend — since sorts
-///     assign payload = global input index, this is exactly LSD radix
-///     stability (and sample sort's deterministic duplicate placement).
-/// `require_stable` disables the third check for algorithms that do not
-/// promise stability.
-bool verify_sorted_runs_paired(
-    const Checksum& input_keys, std::uint64_t input_pairs,
+/// Everything a finished sort checks about its output, gathered in one
+/// sweep over it.
+struct RunDigest {
+  Checksum keys;       // multiset checksum of the output keys
+  bool sorted = true;  // the concatenation of the runs ascends
+  /// Order-DEPENDENT fingerprint of the concatenated runs (FNV-1a over the
+  /// keys in output order). The complement of the multiset Checksum: the
+  /// Checksum proves a worker's result is a permutation of the input it
+  /// was asked to sort; this hash pins *which* permutation, so the master
+  /// can tell two honest hedged results agree without shipping the keys
+  /// back over the wire (DESIGN.md §12).
+  std::uint64_t order_hash = 0;
+  /// kv32 only (payload runs given): the pair_fingerprint of the output
+  /// (key, payload) multiset, and whether payloads ascend within every run
+  /// of equal keys. Since sorts assign payload = global input index, that
+  /// is exactly LSD radix stability (and sample sort's deterministic
+  /// duplicate placement).
+  std::uint64_t pairs = 0;
+  bool stable = true;
+};
+
+/// Digest `key_runs` and, when nonempty, the payload lanes aligned with
+/// them (one lane per run, of the run's size).
+RunDigest digest_runs(
     std::span<const std::span<const Key>> key_runs,
-    std::span<const std::span<const keys::Payload>> payload_runs,
-    bool require_stable);
+    std::span<const std::span<const keys::Payload>> payload_runs = {});
 
 }  // namespace dsm::sort

@@ -220,60 +220,5 @@ TEST(WorkerExchangeWc, CcSasScatterChargesAndOutputBitIdentical) {
   }
 }
 
-SortResult run_with_jobs(Algo algo, Model model, int kernel_jobs) {
-  SortSpec spec;
-  spec.algo = algo;
-  spec.model = model;
-  spec.nprocs = 4;
-  spec.n = 1 << 15;
-  spec.radix_bits = algo == Algo::kSample ? 11 : 8;
-  spec.dist = keys::Dist::kGauss;
-  spec.keep_output = true;
-  spec.kernel_jobs = kernel_jobs;
-  return run_sort(spec);
-}
-
-TEST(ThreadedKernelJobs, ChargesAndOutputInvariantAcrossJobCounts) {
-  // spec.kernel_jobs threads the histogram/permute inside one charged
-  // sort. Lower the shard floor so 2 and 4 jobs really shard at 8K keys
-  // per rank; elapsed, breakdowns, and output must not move by a bit.
-  const std::size_t saved = kernel_shard_min_keys();
-  set_kernel_shard_min_keys(1024);
-  struct Restore {
-    std::size_t v;
-    ~Restore() { set_kernel_shard_min_keys(v); }
-  } restore{saved};
-
-  for (const auto& [algo, model] :
-       {std::make_pair(Algo::kRadix, Model::kCcSas),
-        std::make_pair(Algo::kRadix, Model::kMpi),
-        std::make_pair(Algo::kRadix, Model::kShmem),
-        std::make_pair(Algo::kSample, Model::kMpi)}) {
-    const auto serial = run_with_jobs(algo, model, 1);
-    for (const int jobs : {2, 4}) {
-      const auto threaded = run_with_jobs(algo, model, jobs);
-      EXPECT_EQ(serial.output, threaded.output)
-          << algo_name(algo) << "/" << model_name(model) << " jobs=" << jobs;
-      EXPECT_EQ(serial.elapsed_ns, threaded.elapsed_ns)
-          << algo_name(algo) << "/" << model_name(model) << " jobs=" << jobs;
-      ASSERT_EQ(serial.per_proc.size(), threaded.per_proc.size());
-      for (std::size_t i = 0; i < serial.per_proc.size(); ++i) {
-        EXPECT_EQ(serial.per_proc[i].busy_ns, threaded.per_proc[i].busy_ns);
-        EXPECT_EQ(serial.per_proc[i].lmem_ns, threaded.per_proc[i].lmem_ns);
-        EXPECT_EQ(serial.per_proc[i].rmem_ns, threaded.per_proc[i].rmem_ns);
-        EXPECT_EQ(serial.per_proc[i].sync_ns, threaded.per_proc[i].sync_ns);
-      }
-    }
-  }
-}
-
-TEST(ThreadedKernelJobs, SpecValidationRejectsNegative) {
-  SortSpec spec;
-  spec.kernel_jobs = -1;
-  const Status s = spec.validate_status();
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("kernel jobs"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace dsm::sort

@@ -240,15 +240,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1ull, 2ull, 3ull)));
 
 /// RAII restore for the process-wide kernel tunables, so tests can force
-/// the two-level / threaded paths at small n without leaking settings.
+/// the two-level path at small n without leaking settings.
 struct TunableGuard {
   std::size_t staging = kernel_staging_bytes();
   std::size_t wc_min = kernel_wc_min_buckets();
-  std::size_t shard_min = kernel_shard_min_keys();
   ~TunableGuard() {
     set_kernel_staging_bytes(staging);
     set_kernel_wc_min_buckets(wc_min);
-    set_kernel_shard_min_keys(shard_min);
   }
 };
 
@@ -261,11 +259,6 @@ TEST(KernelTunables, SettersValidateAndRoundTrip) {
   set_kernel_wc_min_buckets(32);
   EXPECT_EQ(kernel_wc_min_buckets(), 32u);
   EXPECT_THROW(set_kernel_wc_min_buckets(0), Error);
-  set_kernel_shard_min_keys(1024);
-  EXPECT_EQ(kernel_shard_min_keys(), 1024u);
-  EXPECT_THROW(set_kernel_shard_min_keys(0), Error);
-  EXPECT_THROW(set_default_kernel_jobs(-1), Error);
-  EXPECT_GE(default_kernel_jobs(), 1);
 }
 
 TEST(KernelTunables, EnvParserIsStrict) {
@@ -283,16 +276,6 @@ TEST(KernelTunables, EnvParserIsStrict) {
   EXPECT_THROW(parse("-1"), Error);
   EXPECT_THROW(parse("99999999999999999999999"), Error);  // ERANGE
   EXPECT_THROW(parse("0x10"), Error);
-}
-
-TEST(KernelShards, RespectsJobsAndShardFloor) {
-  TunableGuard guard;
-  set_kernel_shard_min_keys(1000);
-  EXPECT_EQ(effective_kernel_shards(1, 1u << 20), 1);
-  EXPECT_EQ(effective_kernel_shards(4, 1u << 20), 4);
-  EXPECT_EQ(effective_kernel_shards(4, 2000), 2);   // floor caps shards
-  EXPECT_EQ(effective_kernel_shards(4, 999), 1);    // below one shard
-  EXPECT_EQ(effective_kernel_shards(4, 0), 1);
 }
 
 TEST(PermuteKernel, TwoLevelScatterMatchesReference) {
@@ -357,84 +340,6 @@ TEST(KernelSortEquivalenceTwoLevel, FullSortByteIdentical) {
       EXPECT_TRUE(std::is_sorted(opt.begin(), opt.end()));
     }
   }
-}
-
-class ThreadedKernelEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(ThreadedKernelEquivalence, SortedOutputByteIdenticalAcrossJobs) {
-  // Lower the shard floor so jobs in {2, 4} really shard at test sizes;
-  // every thread count must produce the serial bytes exactly.
-  const int jobs = GetParam();
-  TunableGuard guard;
-  set_kernel_shard_min_keys(512);
-  RadixWorkspace ws_ref, ws_thr;
-  ws_thr.jobs = jobs;
-  for (const int radix : {4, 8, 11, 16}) {
-    for (const keys::Dist d : {keys::Dist::kRandom, keys::Dist::kGauss,
-                               keys::Dist::kZero, keys::Dist::kStagger}) {
-      // Odd n exercises uneven shard boundaries.
-      for (const Index n : {Index{0}, Index{1}, Index{511}, Index{1025},
-                            Index{40001}}) {
-        const auto input = make_keys(d, n, 7, radix);
-        const auto ref = sort_via_kernels(KernelBackend::kReference, input,
-                                          radix, ws_ref);
-        const auto thr = sort_via_kernels(KernelBackend::kOptimized, input,
-                                          radix, ws_thr);
-        EXPECT_EQ(ref, thr) << "jobs=" << jobs << " radix=" << radix
-                            << " n=" << n << " dist=" << keys::dist_name(d);
-      }
-    }
-  }
-  // Duplicate-heavy keys stress the stable-order shard cursors.
-  const auto dup = duplicate_heavy(30000, 3);
-  EXPECT_EQ(sort_via_kernels(KernelBackend::kReference, dup, 8, ws_ref),
-            sort_via_kernels(KernelBackend::kOptimized, dup, 8, ws_thr));
-}
-
-INSTANTIATE_TEST_SUITE_P(Jobs, ThreadedKernelEquivalence,
-                         ::testing::Values(1, 2, 4));
-
-TEST(ThreadedKernel, RunsHistogramsAndCursorsMatchSerial) {
-  TunableGuard guard;
-  set_kernel_shard_min_keys(512);
-  const int radix = 8;
-  const std::size_t buckets = 256;
-  const auto keys = make_keys(keys::Dist::kRandom, 30000, 13, radix);
-  // ws-aware histogram overload: threaded counts must equal serial.
-  RadixWorkspace ws1, ws4;
-  ws1.jobs = 1;
-  ws4.jobs = 4;
-  std::vector<std::uint64_t> h1(buckets), h4(buckets);
-  const std::uint64_t a1 = histogram_kernel(KernelBackend::kOptimized, keys,
-                                            0, radix, h1, ws1);
-  const std::uint64_t a4 = histogram_kernel(KernelBackend::kOptimized, keys,
-                                            0, radix, h4, ws4);
-  EXPECT_EQ(h1, h4);
-  EXPECT_EQ(a1, a4);
-  const int passes = passes_for(radix);
-  std::vector<std::uint64_t> m1(static_cast<std::size_t>(passes) * buckets);
-  std::vector<std::uint64_t> m4(m1.size());
-  multi_histogram_kernel(KernelBackend::kOptimized, keys, passes, radix, m1,
-                         ws1);
-  multi_histogram_kernel(KernelBackend::kOptimized, keys, passes, radix, m4,
-                         ws4);
-  EXPECT_EQ(m1, m4);
-  // Permute: measured runs and final cursors must match the serial kernel.
-  std::vector<std::uint64_t> cur1(buckets), cur4(buckets);
-  std::uint64_t acc = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    cur1[b] = acc;
-    acc += h1[b];
-  }
-  cur4 = cur1;
-  std::vector<Key> out1(keys.size()), out4(keys.size());
-  const std::uint64_t runs1 = permute_kernel(
-      KernelBackend::kOptimized, keys, out1, 0, radix, cur1, a1, ws1);
-  const std::uint64_t runs4 = permute_kernel(
-      KernelBackend::kOptimized, keys, out4, 0, radix, cur4, a4, ws4);
-  EXPECT_EQ(out1, out4);
-  EXPECT_EQ(runs1, runs4);
-  EXPECT_EQ(cur1, cur4);
 }
 
 TEST(ExchangeCopy, MatchesMemcpyAtEveryAlignmentAndSize) {
@@ -564,22 +469,17 @@ paired_sort_via_kernels(KernelBackend be, std::vector<Key> keys,
   return {std::move(keys), std::move(pay)};
 }
 
-class PairedKernelSort
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class PairedKernelSort : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairedKernelSort, MirrorReplaysTheStableScatterExactly) {
   // Record-type x distribution cells at the kernel layer: for every
-  // backend, radix, jobs value, and skewed distribution the payload
+  // backend, radix, and skewed distribution the payload
   // mirror must land each payload exactly where stable sorting its
   // (key, input index) record would — byte-identical to the header-only
   // record_lsd_sort reference. The key lane must be untouched by the
   // mirroring (identical to the bare-key kernel sort).
-  const int radix = std::get<0>(GetParam());
-  const int jobs = std::get<1>(GetParam());
-  TunableGuard guard;
-  set_kernel_shard_min_keys(512);
+  const int radix = GetParam();
   RadixWorkspace ws_bare, ws_ref, ws_opt;
-  ws_opt.jobs = jobs;
   for (const keys::Dist d :
        {keys::Dist::kRandom, keys::Dist::kZipf, keys::Dist::kDup,
         keys::Dist::kAlmostSorted, keys::Dist::kAdversarial}) {
@@ -616,9 +516,8 @@ TEST_P(PairedKernelSort, MirrorReplaysTheStableScatterExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RadixByJobs, PairedKernelSort,
-                         ::testing::Combine(::testing::Values(4, 8, 11),
-                                            ::testing::Values(1, 4)));
+INSTANTIATE_TEST_SUITE_P(Radix, PairedKernelSort,
+                         ::testing::Values(4, 8, 11));
 
 TEST(PayloadMirror, ConsumesCursorLikePermuteKernel) {
   // The mirror's cursor contract matches permute_kernel's: advanced past
