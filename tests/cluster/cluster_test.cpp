@@ -94,6 +94,84 @@ TEST(Cluster, ReplayMatchesSingleProcessServiceByteForByte) {
   pool.shutdown();
 }
 
+/// A job a fresh planner underestimates, with a deadline strictly between
+/// prediction and measurement: admitted (not shed), then aborted at a
+/// phase mark with "virtual deadline exceeded". The search is over
+/// deterministic virtual times, so the pick is stable.
+svc::JobSpec underestimated_job(std::uint64_t id) {
+  svc::Planner planner;
+  svc::JobSpec job;
+  job.id = id;
+  job.n = 1u << 12;
+  for (std::uint64_t seed = 1; seed < 20; ++seed) {
+    for (const int nprocs : {8, 4}) {
+      for (const keys::Dist d :
+           {keys::Dist::kGauss, keys::Dist::kRandom, keys::Dist::kBucket}) {
+        job.seed = seed;
+        job.nprocs = nprocs;
+        job.dist = d;
+        const svc::Plan plan = planner.plan(job);
+        const double measured =
+            sort::run_sort(svc::sort_spec_for(job, plan.algo, plan.model,
+                                              plan.radix_bits))
+                .elapsed_ns;
+        if (measured <= plan.predicted_ns + 3e3) continue;
+        job.deadline_us = static_cast<std::uint64_t>(
+            (plan.predicted_ns + measured) / 2 / 1e3);
+        const double deadline_ns = static_cast<double>(job.deadline_us) * 1e3;
+        if (deadline_ns > plan.predicted_ns && deadline_ns < measured) {
+          return job;
+        }
+      }
+    }
+  }
+  ADD_FAILURE() << "no underestimated job in the probe set";
+  return job;
+}
+
+// The fault matrix through both execution paths: keygen/sort-phase faults
+// fire worker-side, serialize faults master-side, and deadlines shed,
+// abort mid-run or finish late. The cluster must reproduce the local
+// bytes, failure texts included.
+TEST(Cluster, FaultedReplayMatchesSingleProcessServiceByteForByte) {
+  svc::LoadMix mix;
+  mix.sizes = {1u << 12, 1u << 13};
+  mix.procs = {4, 8};
+  mix.dists = {keys::Dist::kGauss, keys::Dist::kRandom, keys::Dist::kBucket};
+  mix.deadlines_us = {0, 0, 300, 100000};
+  mix.priorities = {0, 0, 0, svc::kCriticalPriority};
+  std::vector<svc::JobSpec> trace = svc::make_trace(77, 40, mix);
+  // First, so it is planned against the same fresh calibration it was
+  // picked with.
+  trace.insert(trace.begin(), underestimated_job(1000));
+
+  std::string both;
+  for (const double rate : {0.05, 0.15}) {
+    svc::ServiceConfig cfg;
+    cfg.queue_capacity = 64;
+    cfg.max_batch = 4;
+    cfg.workers = 2;
+    cfg.audit_every = 5;
+    cfg.faults.seed = 1234;
+    cfg.faults.rate = rate;
+    svc::SortService local(cfg);
+    const std::string base = replay_fingerprint(local, trace);
+    EXPECT_NE(base.find("FAULT_INJECTED"), std::string::npos) << rate;
+    EXPECT_NE(base.find("virtual deadline exceeded"), std::string::npos)
+        << rate;
+    both += base;
+
+    WorkerPool pool(pool_config(2));
+    cfg.remote = &pool;
+    svc::SortService clustered(cfg);
+    ASSERT_TRUE(pool.start().ok());
+    EXPECT_EQ(replay_fingerprint(clustered, trace), base) << "rate " << rate;
+    pool.shutdown();
+  }
+  EXPECT_NE(both.find("shed: predicted"), std::string::npos);
+  EXPECT_NE(both.find("finished late"), std::string::npos);
+}
+
 TEST(Cluster, ReplayIsByteIdenticalAcrossWorkerProcessCounts) {
   const std::vector<svc::JobSpec> trace = small_trace(8);
   std::string base;
