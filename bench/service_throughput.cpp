@@ -39,6 +39,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -372,7 +373,9 @@ int main(int argc, char** argv) {
        << capacity << ", \"workers\": " << env.jobs
        << ", \"cluster_workers\": " << cluster_workers << ", \"seed\": "
        << env.seed << ", \"quick\": " << (quick ? "true" : "false")
-       << "},\n"
+       << ", \"host\": {\"hardware_threads\": "
+       << std::thread::hardware_concurrency() << ", \"kernel_isa\": \""
+       << sort::kernel_isa_name() << "\"}},\n"
        << "  \"live\": {\"completed\": " << c.completed << ", \"failed\": "
        << c.failed << ", \"rejected_full\": " << c.rejected_full
        << ", \"wall_s\": " << fmt_fixed(live_wall, 3)

@@ -67,12 +67,22 @@ MASTER_PID=$!
 # Five workers; workerd retries the connect until the listener is up. The
 # liar completes every protocol step flawlessly and sorts honestly — only
 # its result reports are corrupted, so only end-to-end integrity can
-# catch it.
+# catch it. It connects first and alone: the master starts leasing as
+# soon as one worker registers and always leases the lowest-numbered free
+# worker, so a liar that registers behind three honest workers may never
+# get a task before a fast trace ends. Alone, it takes the first task and
+# is struck out on its retries while the honest workers connect.
+i=0
+while [ ! -S "$SOCK" ] && [ "$i" -lt 200 ]; do
+  sleep 0.05
+  i=$((i + 1))
+done
+"$WORKERD_BIN" --connect "$SOCK" --label smoke-liar --lie & LIAR_PID=$!
+sleep 0.25
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-1 & W1_PID=$!
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-2 & W2_PID=$!
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-3 & W3_PID=$!
 "$WORKERD_BIN" --connect "$SOCK" --label smoke-4 & W4_PID=$!
-"$WORKERD_BIN" --connect "$SOCK" --label smoke-liar --lie & LIAR_PID=$!
 
 # Let the run get going, then SIGKILL one worker and SIGSTOP another
 # mid-job. (If the host is fast enough that the trace already finished,
@@ -112,8 +122,8 @@ if ! grep -q "byte-identical" "$LOG"; then
   exit 1
 fi
 # ...and the liar was caught end-to-end: integrity violations charged and
-# the worker quarantined (the liar is leased from the very first batches,
-# so this holds even when the trace outruns the signals above).
+# the worker quarantined (the liar takes the very first task, so this
+# holds even when the trace outruns the signals above).
 if ! grep -Eq '[1-9][0-9]* integrity violation' "$LOG"; then
   echo "cluster_smoke: FAIL — the lying worker was never caught; log:" >&2
   cat "$LOG" >&2

@@ -75,4 +75,8 @@ inline long long respawn_backoff_ms(int consecutive_failures, int base_ms,
   return wait < cap_ms ? wait : cap_ms;
 }
 
+/// The WorkerPool's respawn backoff: 1 ms, doubling to a 200 ms cap.
+constexpr int kRespawnBackoffBaseMs = 1;
+constexpr int kRespawnBackoffCapMs = 200;
+
 }  // namespace dsm::cluster

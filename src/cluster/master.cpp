@@ -267,9 +267,8 @@ void WorkerPool::fail_worker(Worker& w) {
     // note_batch anyway. Consecutive deaths back the respawn off
     // (capped exponential) so a crash loop cannot melt the master.
     respawn = owned && cfg_.fork_workers && !shutdown_;
-    wait_ms = respawn_backoff_ms(consecutive_deaths_,
-                                 cfg_.respawn_backoff_base_ms,
-                                 cfg_.respawn_backoff_cap_ms);
+    wait_ms = respawn_backoff_ms(consecutive_deaths_, kRespawnBackoffBaseMs,
+                                 kRespawnBackoffCapMs);
     update_gauges_locked();
     cv_.notify_all();
   }
@@ -518,6 +517,8 @@ Status WorkerPool::drive(Worker* first, const svc::RemoteAttempt& attempt,
       out->passes = m->passes;
       out->verified = m->verified;
       out->fired_site = m->fired_site;
+      out->input_checksum = m->input_cs;
+      out->run_hash = m->run_hash;
       Worker* winner = c.w;
       const bool winner_hedge = c.hedge;
       // Cancel the losers: closing their channel aborts the duplicate

@@ -35,8 +35,8 @@
 // result is discarded, the attempt re-dispatched, and the worker struck;
 // integrity_strikes strikes move it to kQuarantined (reaped, its own
 // gauge, never leased again). Respawns after consecutive deaths back
-// off exponentially (capped) so a crash-looping host cannot melt the
-// master.
+// off exponentially (health.hpp: 1 ms doubling to 200 ms) so a
+// crash-looping host cannot melt the master.
 //
 // Elasticity: resizing happens only at batch boundaries (note_batch on
 // the server thread): spawn up to the lifecycle policy's target, retire
@@ -82,10 +82,6 @@ struct PoolConfig {
   int suspect_after = 3;
   /// Integrity violations a worker may accumulate before quarantine.
   int integrity_strikes = 2;
-  /// Capped exponential backoff before respawning after consecutive
-  /// worker deaths (health.hpp respawn_backoff_ms).
-  int respawn_backoff_base_ms = 1;
-  int respawn_backoff_cap_ms = 200;
 };
 
 class WorkerPool final : public svc::RemoteExecutor {

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -13,30 +12,18 @@
 
 #include "cluster/frame.hpp"
 #include "common/fsio.hpp"
-#include "common/table.hpp"
 #include "sort/input_cache.hpp"
-#include "sort/sort_api.hpp"
-#include "svc/faults.hpp"
+#include "svc/remote.hpp"
 
 namespace dsm::cluster {
 namespace {
 
-/// Must render exactly like the master's local deadline message (the
-/// failure text lands in replayed JSON, which is byte-compared against
-/// a local run).
-std::string us_text(double ns) { return fmt_fixed(ns / 1e3, 3) + "us"; }
-
-/// Run one task and build its done message. Mirrors exactly one attempt
-/// of the master's local execute_one body: same spec, same hook order
-/// (mark, crash hook, fault check, virtual-deadline abort), same typed
-/// failure surface. Retry/serialize/deadline *classification* stay
-/// master-side.
+/// Run one task through svc::execute_attempt and build its done message.
+/// Only the worker's own concerns live here: heartbeats, streaming marks
+/// to the master, the crash hook and the --lie corruption. Retry,
+/// serialize and deadline *classification* stay master-side.
 WireMessage run_task(const WireMessage& task, Channel& ch,
                      const WorkerOptions& opts) {
-  WireMessage done;
-  done.type = MsgType::kDone;
-  done.task_id = task.task_id;
-
   if (task.cache_budget != 0) {
     sort::input_cache_set_budget(task.cache_budget);
   }
@@ -85,77 +72,52 @@ WireMessage run_task(const WireMessage& task, Channel& ch,
     beat_cv.notify_all();
     beater.join();
   };
-  sort::SortSpec spec = svc::sort_spec_for(task.job, task.plan.algo,
-                                           task.plan.model,
-                                           task.plan.radix_bits);
-  int fired_site = -1;
-  // Function scope, not else-block scope: the hook lambda below captures
-  // the injector by reference and outlives the branch.
-  const svc::FaultInjector injector(task.faults);
-  const double deadline_ns = static_cast<double>(task.job.deadline_us) * 1e3;
-  const bool abortable = task.job.deadline_us > 0 &&
-                         task.job.priority < svc::kCriticalPriority;
-  if (task.audit) {
-    // Audit runs measure the runner-up plan: no trace, no hooks, no
-    // faults, no deadline — the local audit contract.
-    spec.trace_json_path.clear();
-  } else {
-    spec.hooks.on_site = [&task, &opts, &injector, &fired_site, &locked_send,
-                          &last_virtual_ns, deadline_ns,
-                          abortable](const char* site, double virtual_ns) {
-      last_virtual_ns.store(virtual_ns, std::memory_order_relaxed);
-      WireMessage mark;
-      mark.type = MsgType::kMark;
-      mark.task_id = task.task_id;
-      mark.site = site;
-      mark.virtual_ns = virtual_ns;
-      const Status sent = locked_send(mark);
-      if (!sent.ok()) {
-        // The master is gone; abort the sort cleanly (the team poison
-        // machinery unwinds every rank) and let the main loop exit.
-        throw StatusError(sent);
-      }
-      if (opts.crash_hook) {
-        opts.crash_hook((std::string("exec.") + site).c_str(),
-                        task.job.svc_seq);
-      }
-      const bool keygen = std::strcmp(site, "keygen") == 0;
-      const svc::FaultSite fsite =
-          keygen ? svc::FaultSite::kKeygen : svc::FaultSite::kSortPhase;
-      const std::uint64_t salt = keygen ? 0 : svc::fault_salt(site);
-      if (injector.should_fire(fsite, task.job.id, task.attempt, salt)) {
-        fired_site = static_cast<int>(fsite);
-        throw StatusError(
-            svc::FaultInjector::fire(fsite, task.job.id, task.attempt));
-      }
-      if (abortable && virtual_ns > deadline_ns) {
-        throw StatusError(Status::deadline_exceeded(
-            std::string("virtual deadline exceeded at '") + site + "': " +
-            us_text(virtual_ns) + " > " + us_text(deadline_ns)));
-      }
-    };
-  }
 
-  const Result<sort::SortResult> r = sort::try_run_sort(spec);
-  stop_beater();
-  done.fired_site = fired_site;
-  if (r.ok()) {
-    done.ok = true;
-    done.measured_ns = r->elapsed_ns;
-    done.passes = r->passes;
-    done.verified = r->verified;
-    done.input_cs = r->input_checksum;
-    done.run_hash = r->run_hash;
-    if (opts.lie) {
-      // Corrupt the consumed-input report: the sorted-run shape stays
-      // plausible, but the multiset fingerprint can no longer match the
-      // admission-time expectation.
-      done.input_cs.sum ^= 0xdeadbeefcafef00dull;
-      done.run_hash ^= 0xbadc0ffee0ddf00dull;
+  const auto on_mark = [&task, &opts, &locked_send, &last_virtual_ns](
+                           const char* site, double virtual_ns) {
+    last_virtual_ns.store(virtual_ns, std::memory_order_relaxed);
+    WireMessage mark;
+    mark.type = MsgType::kMark;
+    mark.task_id = task.task_id;
+    mark.site = site;
+    mark.virtual_ns = virtual_ns;
+    const Status sent = locked_send(mark);
+    if (!sent.ok()) {
+      // The master is gone; abort the sort cleanly (the team poison
+      // machinery unwinds every rank) and let the main loop exit.
+      throw StatusError(sent);
     }
-  } else {
-    done.ok = false;
-    done.failure = r.status();
+    if (opts.crash_hook) {
+      opts.crash_hook((std::string("exec.") + site).c_str(),
+                      task.job.svc_seq);
+    }
+  };
+  svc::RemoteAttempt attempt;
+  attempt.job = task.job;
+  attempt.plan = task.plan;
+  attempt.attempt = task.attempt;
+  attempt.audit = task.audit;
+  const svc::RemoteOutcome o =
+      svc::execute_attempt(attempt, svc::FaultInjector(task.faults), on_mark);
+  stop_beater();
+
+  WireMessage done;
+  done.type = MsgType::kDone;
+  done.task_id = task.task_id;
+  done.ok = o.ok;
+  done.failure = o.failure;
+  done.fired_site = o.fired_site;
+  done.measured_ns = o.measured_ns;
+  done.passes = o.passes;
+  done.verified = o.verified;
+  done.input_cs = o.input_checksum;
+  done.run_hash = o.run_hash;
+  if (o.ok && opts.lie) {
+    // Corrupt the consumed-input report: the sorted-run shape stays
+    // plausible, but the multiset fingerprint can no longer match the
+    // admission-time expectation.
+    done.input_cs.sum ^= 0xdeadbeefcafef00dull;
+    done.run_hash ^= 0xbadc0ffee0ddf00dull;
   }
   return done;
 }

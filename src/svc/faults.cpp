@@ -47,13 +47,4 @@ Status FaultInjector::fire(FaultSite site, std::uint64_t job_id,
       std::to_string(job_id) + ", attempt " + std::to_string(attempt) + ")");
 }
 
-std::uint64_t fault_salt(const char* name) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char* p = name; *p != '\0'; ++p) {
-    h ^= static_cast<unsigned char>(*p);
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-  return h;
-}
-
 }  // namespace dsm::svc

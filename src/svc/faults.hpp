@@ -90,7 +90,4 @@ class FaultInjector {
   FaultConfig cfg_;
 };
 
-/// FNV-1a over a C string — the salt for named evaluation points.
-std::uint64_t fault_salt(const char* name);
-
 }  // namespace dsm::svc

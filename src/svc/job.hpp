@@ -178,11 +178,13 @@ struct JobResult {
   std::string to_json(bool include_host = false) const;
 };
 
-/// The SortSpec a (job, plan-dimension) pair executes as. Shared by the
-/// local executor and the cluster worker so a remote attempt builds
-/// exactly the spec the master would have run — the cross-process
-/// determinism contract starts here.
+/// The SortSpec a (job, plan-dimension) pair executes as (what
+/// execute_attempt runs, in this process or on a cluster worker).
 sort::SortSpec sort_spec_for(const JobSpec& job, sort::Algo algo,
                              sort::Model model, int radix_bits);
+
+/// Virtual ns as the microsecond text of every deadline message
+/// ("12.345us"); the text lands in replayed JSON.
+std::string us_text(double ns);
 
 }  // namespace dsm::svc

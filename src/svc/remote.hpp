@@ -1,13 +1,15 @@
 // The seam between the single-process service and the cluster tier.
 //
-// SortService executes attempts either locally (in the worker cell's own
-// thread) or, when ServiceConfig::remote is set, by handing the attempt
-// to a RemoteExecutor — PR 7's cluster::WorkerPool, which ships it to a
-// worker process over the framed socket transport. The interface is
-// deliberately attempt-grained: retry policy, deadline classification,
-// serialize-fault injection, journaling and metrics stay in svc/server,
-// so a remote run is byte-identical to a local one (the determinism
-// contract extends across process boundaries — see DESIGN.md §10).
+// One execution attempt is one call: execute_attempt() builds the spec,
+// installs the on-site hook (progress mark, fault check, virtual-deadline
+// abort) and runs the sort. SortService calls it in the worker cell's own
+// thread, or, when ServiceConfig::remote is set, hands the attempt to a
+// RemoteExecutor — cluster::WorkerPool, whose worker processes call the
+// same function. The interface is deliberately attempt-grained: retry
+// policy, deadline classification, serialize-fault injection, journaling
+// and metrics stay in svc/server, so a remote run is byte-identical to a
+// local one (the determinism contract extends across process boundaries
+// — see DESIGN.md §10).
 //
 // svc/ must not depend on cluster/ (the cluster depends on svc's job and
 // codec types), so this header is the only thing the server knows about
@@ -26,9 +28,8 @@
 
 namespace dsm::svc {
 
-/// One execution attempt to run remotely. `audit` runs measure the
-/// runner-up plan: no hooks, no faults, no trace — exactly the local
-/// audit contract.
+/// One execution attempt. `audit` runs measure the runner-up plan: no
+/// hooks, no faults, no deadline, no trace.
 struct RemoteAttempt {
   JobSpec job;
   Plan plan;
@@ -43,11 +44,10 @@ struct RemoteAttempt {
   sort::Checksum expect;
 };
 
-/// What the remote attempt produced. When `ran` is false the pool could
-/// not execute the attempt anywhere (every worker dead and none
-/// spawnable) and `failure` says why; when `ran` is true the attempt has
-/// exactly the local outcome shape: ok + measurements, or a typed
-/// failure with the fault site that fired worker-side.
+/// What the attempt produced. When `ran` is false the pool could not
+/// execute the attempt anywhere (every worker dead and none spawnable)
+/// and `failure` says why; when `ran` is true the attempt is ok with its
+/// measurements, or a typed failure with the fault site that fired.
 struct RemoteOutcome {
   bool ran = false;
   bool ok = false;
@@ -56,6 +56,10 @@ struct RemoteOutcome {
   int passes = 0;
   bool verified = false;
   int fired_site = -1;  // FaultSite that fired during the attempt, or -1
+  /// The consumed input's multiset fingerprint and the sorted output's
+  /// run hash (what a worker reports for end-to-end integrity).
+  sort::Checksum input_checksum;
+  std::uint64_t run_hash = 0;
 };
 
 class RemoteExecutor {
@@ -96,5 +100,15 @@ class RemoteExecutor {
     (void)queue_depth;
   }
 };
+
+/// Run one attempt in this process. Unless `audit`, every phase mark
+/// calls `on_mark` (may be empty) first, then the keygen/sort-phase fault
+/// check, then the virtual-deadline abort; whatever `on_mark` throws as a
+/// StatusError stops the sort and becomes the attempt's failure. Never
+/// throws. Keygen and sort-phase fault counts are left to the caller
+/// (`fired_site`).
+RemoteOutcome execute_attempt(const RemoteAttempt& attempt,
+                              const FaultInjector& injector,
+                              const RemoteExecutor::MarkFn& on_mark);
 
 }  // namespace dsm::svc

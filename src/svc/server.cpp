@@ -6,9 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstring>
-#include <exception>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -18,7 +15,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/prng.hpp"
-#include "common/table.hpp"
 #include "sas/shared_array.hpp"
 #include "sim/sweep.hpp"
 #include "sort/input_cache.hpp"
@@ -50,8 +46,6 @@ void append_line_durable(const std::string& path, const std::string& line) {
   ::fsync(fd);
   ::close(fd);
 }
-
-std::string us_text(double ns) { return fmt_fixed(ns / 1e3, 3) + "us"; }
 
 /// The master-side expectation for end-to-end integrity (DESIGN.md §12):
 /// regenerate the job's input into a scratch buffer (usually an input-
@@ -97,16 +91,12 @@ SortService::SortService(ServiceConfig cfg)
 
 void SortService::recover() {
   const double t0 = now_s();
-  RecoveryOutcome rec =
-      recover_dir(cfg_.durability.dir, cfg_.durability.quarantine_threshold,
-                  planner_, metrics_);
+  RecoveryOutcome rec = recover_dir(cfg_.durability.dir, planner_, metrics_);
   known_ids_.insert(rec.known_ids.begin(), rec.known_ids.end());
   queue_.set_next_seq(rec.next_seq);
 
   JournalConfig jc;
   jc.dir = cfg_.durability.dir;
-  jc.fsync_data = cfg_.durability.fsync_data;
-  jc.segment_max_bytes = cfg_.durability.segment_max_bytes;
   jc.crash_hook = cfg_.durability.crash_hook;
   journal_ = std::make_unique<JournalWriter>(jc, rec.next_lsn);
 
@@ -489,8 +479,33 @@ void SortService::process_batch(std::vector<JobSpec>& batch) {
 void SortService::execute_one(const JobSpec& job, const Plan& plan,
                               std::uint64_t seq, JobResult& out) {
   const double deadline_ns = static_cast<double>(job.deadline_us) * 1e3;
-  const bool abortable =
-      job.deadline_us > 0 && job.priority < kCriticalPriority;
+  // One attempt is one execute_attempt call, in this thread or on a
+  // worker process; a remote result must also match the input
+  // fingerprint computed here (DESIGN.md §12).
+  const auto run = [this](RemoteAttempt ra,
+                          const RemoteExecutor::MarkFn& on_mark,
+                          const RemoteExecutor::DispatchFn& on_dispatch) {
+    if (cfg_.remote == nullptr) return execute_attempt(ra, injector_, on_mark);
+    ra.check_integrity = true;
+    ra.expect = expected_input_checksum(ra.job, ra.plan.radix_bits);
+    return cfg_.remote->run_attempt(ra, on_mark, on_dispatch);
+  };
+  const auto on_mark = [this, seq](const char* site, double) {
+    if (!durable()) return;
+    // Progress mark: pins a crash during this phase to the precise
+    // "execute:<site>" identity quarantine counting keys on.
+    JournalRecord m;
+    m.type = RecordType::kMark;
+    m.seq = seq;
+    m.site = site;
+    journal_->append(m);
+    if (cfg_.durability.crash_hook) {
+      cfg_.durability.crash_hook((std::string("exec.") + site).c_str(), seq);
+    }
+  };
+  RemoteAttempt ra;
+  ra.job = job;
+  ra.plan = plan;
 
   for (int attempt = 0;; ++attempt) {
     if (durable()) {
@@ -500,118 +515,28 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
       r.attempt = attempt;
       journal_->append(r);
     }
-    int fired_site = -1;
-    bool attempt_ok = false;
-    double measured_ns = 0;
-    int passes = 0;
-    bool verified = false;
-    Status failure;
+    const auto on_dispatch = [this, seq, attempt](const std::string& w) {
+      if (!durable()) return;
+      // WAL the dispatch before the task leaves the master: a crash
+      // right after the send still knows this attempt may have reached
+      // worker `w`, and recovery re-drives it like a started attempt.
+      JournalRecord d;
+      d.type = RecordType::kDispatch;
+      d.seq = seq;
+      d.attempt = attempt;
+      d.site = w;
+      journal_->append(d);
+    };
+    ra.attempt = attempt;
+    const RemoteOutcome ro = run(ra, on_mark, on_dispatch);
+    int fired_site = ro.fired_site;
+    Status failure = ro.failure;
+    // Keygen and sort-phase faults fire inside the attempt (worker-side
+    // in cluster mode, from the same injector seed); their counters live
+    // here.
+    if (fired_site >= 0) metrics_.on_fault(static_cast<FaultSite>(fired_site));
 
-    if (cfg_.remote != nullptr) {
-      // Cluster mode: ship the attempt to a worker process. The worker
-      // mirrors exactly the local hook body below (marks, faults,
-      // virtual-deadline abort) from the same FaultConfig, so the
-      // outcome is byte-identical; journaling and the crash hook stay
-      // here, on the mark callbacks the worker streams back.
-      RemoteAttempt ra;
-      ra.job = job;
-      ra.plan = plan;
-      ra.attempt = attempt;
-      if (cfg_.verify_remote_integrity) {
-        ra.check_integrity = true;
-        ra.expect = expected_input_checksum(job, plan.radix_bits);
-      }
-      const auto on_mark = [this, seq](const char* site, double) {
-        if (durable() && cfg_.durability.journal_marks) {
-          JournalRecord m;
-          m.type = RecordType::kMark;
-          m.seq = seq;
-          m.site = site;
-          journal_->append(m);
-        }
-        if (durable() && cfg_.durability.crash_hook) {
-          cfg_.durability.crash_hook(
-              (std::string("exec.") + site).c_str(), seq);
-        }
-      };
-      const auto on_dispatch = [this, seq, attempt](const std::string& w) {
-        if (!durable()) return;
-        // WAL the dispatch before the task leaves the master: a crash
-        // right after the send still knows this attempt may have reached
-        // worker `w`, and recovery re-drives it like a started attempt.
-        JournalRecord d;
-        d.type = RecordType::kDispatch;
-        d.seq = seq;
-        d.attempt = attempt;
-        d.site = w;
-        journal_->append(d);
-      };
-      const RemoteOutcome ro =
-          cfg_.remote->run_attempt(ra, on_mark, on_dispatch);
-      if (ro.fired_site >= 0) {
-        // The fault fired worker-side (same injector, same seed); its
-        // counter lives in this process.
-        metrics_.on_fault(static_cast<FaultSite>(ro.fired_site));
-        fired_site = ro.fired_site;
-      }
-      if (ro.ran && ro.ok) {
-        attempt_ok = true;
-        measured_ns = ro.measured_ns;
-        passes = ro.passes;
-        verified = ro.verified;
-      } else {
-        failure = ro.failure;
-      }
-    } else {
-      sort::SortSpec spec =
-          sort_spec_for(job, plan.algo, plan.model, plan.radix_bits);
-      spec.hooks.on_site = [this, id = job.id, attempt, deadline_ns,
-                            abortable, seq, &fired_site](
-                               const char* site, double virtual_ns) {
-        if (durable() && cfg_.durability.journal_marks) {
-          // Progress mark: pins a crash during this phase to the precise
-          // "execute:<site>" identity quarantine counting keys on.
-          JournalRecord m;
-          m.type = RecordType::kMark;
-          m.seq = seq;
-          m.site = site;
-          journal_->append(m);
-        }
-        if (durable() && cfg_.durability.crash_hook) {
-          cfg_.durability.crash_hook(
-              (std::string("exec.") + site).c_str(), seq);
-        }
-        const bool keygen = std::strcmp(site, "keygen") == 0;
-        const FaultSite fsite =
-            keygen ? FaultSite::kKeygen : FaultSite::kSortPhase;
-        const std::uint64_t salt = keygen ? 0 : fault_salt(site);
-        if (injector_.should_fire(fsite, id, attempt, salt)) {
-          metrics_.on_fault(fsite);
-          fired_site = static_cast<int>(fsite);
-          throw StatusError(FaultInjector::fire(fsite, id, attempt));
-        }
-        // Cooperative straggler abort: virtual time already past the
-        // deadline at a phase boundary means the job cannot finish in
-        // budget; unwind now instead of finishing late.
-        if (abortable && virtual_ns > deadline_ns) {
-          throw StatusError(Status::deadline_exceeded(
-              std::string("virtual deadline exceeded at '") + site +
-              "': " + us_text(virtual_ns) + " > " + us_text(deadline_ns)));
-        }
-      };
-
-      Result<sort::SortResult> r = sort::try_run_sort(spec);
-      if (r.ok()) {
-        attempt_ok = true;
-        measured_ns = r->elapsed_ns;
-        passes = r->passes;
-        verified = r->verified;
-      } else {
-        failure = r.status();
-      }
-    }
-
-    if (attempt_ok) {
+    if (ro.ran && ro.ok) {
       if (injector_.should_fire(FaultSite::kSerialize, job.id, attempt)) {
         // The sort finished but its result was lost on the way out; the
         // whole attempt must rerun. (Serialization is a master-side step,
@@ -620,13 +545,13 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
         fired_site = static_cast<int>(FaultSite::kSerialize);
         failure = FaultInjector::fire(FaultSite::kSerialize, job.id, attempt);
       } else {
-        out.measured_ns = measured_ns;
-        out.passes = passes;
-        out.verified = verified;
-        if (job.deadline_us > 0 && measured_ns > deadline_ns) {
+        out.measured_ns = ro.measured_ns;
+        out.passes = ro.passes;
+        out.verified = ro.verified;
+        if (job.deadline_us > 0 && ro.measured_ns > deadline_ns) {
           out.status = JobStatus::kDeadlineMiss;
           out.final_status = Status::deadline_exceeded(
-              "finished late: measured " + us_text(measured_ns) +
+              "finished late: measured " + us_text(ro.measured_ns) +
               " > deadline " + us_text(deadline_ns));
           out.error = out.final_status.message();
         }
@@ -668,48 +593,23 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
 
   if (out.status == JobStatus::kOk && cfg_.audit_every != 0 &&
       seq % cfg_.audit_every == 0 && plan.has_runner_up) {
+    // Measure the runner-up plan. Audit dispatches are not journaled: an
+    // audit is re-derivable from the terminal record and re-running it
+    // after a crash costs one sort, not correctness.
     out.audited = true;
-    if (cfg_.remote != nullptr) {
-      // Audit the runner-up on a worker process too (the master never
-      // sorts in cluster mode). Audit dispatches are not journaled: an
-      // audit is re-derivable from the terminal record and re-running it
-      // after a crash costs one sort, not correctness.
-      RemoteAttempt ra;
-      ra.job = job;
-      ra.plan = plan;
-      ra.plan.algo = plan.runner_algo;
-      ra.plan.model = plan.runner_model;
-      ra.plan.radix_bits = plan.runner_radix_bits;
-      ra.audit = true;
-      if (cfg_.verify_remote_integrity) {
-        ra.check_integrity = true;
-        ra.expect = expected_input_checksum(job, plan.runner_radix_bits);
-      }
-      const RemoteOutcome ro = cfg_.remote->run_attempt(ra, nullptr, nullptr);
-      if (ro.ran && ro.ok) {
-        out.runner_measured_ns = ro.measured_ns;
-        out.plan_hit = out.measured_ns <= out.runner_measured_ns;
-      } else {
-        // The runner-up itself is infeasible: the planner's choice
-        // stands (exactly the local catch path below).
-        out.runner_measured_ns = -1;
-        out.plan_hit = true;
-      }
+    ra.attempt = 0;
+    ra.plan.algo = plan.runner_algo;
+    ra.plan.model = plan.runner_model;
+    ra.plan.radix_bits = plan.runner_radix_bits;
+    ra.audit = true;
+    const RemoteOutcome ro = run(ra, nullptr, nullptr);
+    if (ro.ran && ro.ok) {
+      out.runner_measured_ns = ro.measured_ns;
+      out.plan_hit = out.measured_ns <= out.runner_measured_ns;
     } else {
-      try {
-        sort::SortSpec rs = sort_spec_for(job, plan.runner_algo,
-                                          plan.runner_model,
-                                          plan.runner_radix_bits);
-        rs.trace_json_path.clear();  // audit runs are not traced
-        // Audit runs carry no hooks: no faults, no deadline — they
-        // measure the runner-up plan, not the failure machinery.
-        out.runner_measured_ns = sort::run_sort(rs).elapsed_ns;
-        out.plan_hit = out.measured_ns <= out.runner_measured_ns;
-      } catch (const std::exception&) {
-        // The runner-up itself is infeasible: the planner's choice stands.
-        out.runner_measured_ns = -1;
-        out.plan_hit = true;
-      }
+      // The runner-up itself is infeasible: the planner's choice stands.
+      out.runner_measured_ns = -1;
+      out.plan_hit = true;
     }
   }
   if (job.host_submit_s > 0) {

@@ -4,6 +4,8 @@
 // Jobs are admitted through a bounded JobQueue (submitters never block; a
 // full queue rejects with a reason), planned by the calibrating Planner,
 // and executed in FIFO batches on sim::run_indexed's host-thread pool.
+// Each execution attempt is one svc::execute_attempt call (remote.hpp),
+// in the pool thread or, with ServiceConfig::remote, on a worker process.
 //
 // Determinism contract (extends the sweep runner's): processing is
 // round-based. Each round takes up to `max_batch` jobs in admission
@@ -63,20 +65,14 @@ namespace dsm::svc {
 struct DurabilityConfig {
   /// Directory for journal segments, the snapshot, and the quarantine
   /// file. Empty = durability off. Recovered on construction when it
-  /// already holds state.
+  /// already holds state. The journal fsyncs every append, rotates at
+  /// JournalConfig's segment size and records every execution mark (what
+  /// pins a crash to a precise "execute:<site>" identity, so a job that
+  /// crashes the process twice at one site is quarantined).
   std::string dir;
   /// Checkpoint every N processed batches (0 = only on drain). Each
   /// checkpoint rotates the journal and prunes covered segments.
   int snapshot_every_batches = 8;
-  /// fsync journal appends (the durability guarantee; see JournalConfig).
-  bool fsync_data = true;
-  std::uint64_t segment_max_bytes = std::uint64_t{1} << 20;
-  /// Journal per-phase execution marks (what pins a crash to a precise
-  /// "execute:<site>" identity for quarantine counting).
-  bool journal_marks = true;
-  /// A job whose process died this many times in a row at the same site
-  /// is quarantined instead of re-admitted.
-  int quarantine_threshold = 2;
   /// Keep journal segments a snapshot has covered instead of pruning
   /// them (the crash harness audits full history across incarnations).
   bool keep_all_segments = false;
@@ -113,17 +109,13 @@ struct ServiceConfig {
   /// Remote execution tier (borrowed; must outlive the service). When
   /// set, execution attempts and audits run on the executor's worker
   /// processes instead of in the worker cell's own thread; planning,
-  /// retry, shedding, calibration and journaling stay here. The
-  /// determinism contract is unchanged: results are byte-identical to a
-  /// local run for any worker-process count.
+  /// retry, shedding, calibration and journaling stay here. Both run the
+  /// same execute_attempt (svc/remote.hpp), so results are byte-identical
+  /// to a local run for any worker-process count. Every remote attempt is
+  /// integrity-checked (DESIGN.md §12): the service fingerprints the
+  /// input's multiset at dispatch time (one cached keygen) and a worker
+  /// result that does not match it is discarded and re-dispatched.
   RemoteExecutor* remote = nullptr;
-  /// End-to-end result integrity for remote attempts (DESIGN.md §12):
-  /// compute the input's order-independent multiset fingerprint at
-  /// dispatch time and require every successful worker done to report a
-  /// matching consumed-input fingerprint plus a passed verification —
-  /// otherwise the result is discarded and re-dispatched instead of
-  /// acked. Costs one (cached) keygen per dispatched attempt.
-  bool verify_remote_integrity = true;
 };
 
 class SortService {
@@ -178,8 +170,9 @@ class SortService {
   /// leaves `plan` empty on final failure (recorded in `out`).
   void plan_one(const JobSpec& job, JobResult& out,
                 std::optional<Plan>& plan);
-  /// Execute+audit one job with per-phase fault injection, deadline
-  /// enforcement, and retry; never throws (failures land in `out`).
+  /// Execute+audit one job, locally or on cfg_.remote, with fault
+  /// injection, deadline enforcement, and retry; never throws (failures
+  /// land in `out`).
   void execute_one(const JobSpec& job, const Plan& plan, std::uint64_t seq,
                    JobResult& out);
   /// Deterministic backoff before retry `attempt` of `job`.

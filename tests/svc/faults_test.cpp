@@ -435,5 +435,95 @@ TEST(Retry, TransientFaultIsAbsorbedAndTheJobSucceeds) {
   EXPECT_EQ(svc.metrics().counters().retry_successes, recovered);
 }
 
+// execute_attempt is the one attempt body the service and the cluster
+// worker share; these pin its contract directly.
+RemoteAttempt small_attempt() {
+  RemoteAttempt a;
+  a.job.id = 5;
+  a.job.n = 1u << 12;
+  a.job.nprocs = 4;
+  a.job.seed = 3;
+  a.plan.algo = sort::Algo::kRadix;
+  a.plan.model = sort::Model::kShmem;
+  a.plan.radix_bits = 8;
+  return a;
+}
+
+TEST(ExecuteAttempt, AuditRunsWithoutFaultsOrDeadline) {
+  RemoteAttempt a = small_attempt();
+  a.job.deadline_us = 1;
+  a.audit = true;
+  const FaultInjector every_site(FaultConfig{kMatrixFaultSeed, 1.0});
+  int marks = 0;
+  const RemoteOutcome o = execute_attempt(
+      a, every_site, [&marks](const char*, double) { ++marks; });
+  EXPECT_TRUE(o.ran);
+  EXPECT_TRUE(o.ok) << o.failure.to_string();
+  EXPECT_TRUE(o.verified);
+  EXPECT_GT(o.measured_ns, 1e3);  // far past the 1 us deadline
+  EXPECT_EQ(o.fired_site, -1);
+  EXPECT_EQ(marks, 0);  // audits install no hook
+  EXPECT_EQ(o.input_checksum.count, a.job.n);
+}
+
+TEST(ExecuteAttempt, ThrowingMarkStopsTheSortWithItsStatus) {
+  // A worker whose master is gone throws the failed send's status from
+  // on_mark; the sort must unwind and report exactly that status.
+  const RemoteAttempt a = small_attempt();
+  const FaultInjector none(FaultConfig{});
+  std::vector<std::string> sites;
+  const RemoteOutcome o = execute_attempt(
+      a, none, [&sites](const char* site, double) {
+        sites.emplace_back(site);
+        if (sites.size() == 2) {
+          throw StatusError(Status::peer_dead("master gone at " +
+                                              std::string(site)));
+        }
+      });
+  EXPECT_TRUE(o.ran);
+  EXPECT_FALSE(o.ok);
+  ASSERT_EQ(sites.size(), 2u);  // nothing ran past the throwing mark
+  EXPECT_EQ(sites[0], "keygen");
+  EXPECT_EQ(o.failure.code(), StatusCode::kPeerDead);
+  EXPECT_EQ(o.failure.message(), "master gone at " + sites[1]);
+  EXPECT_EQ(o.fired_site, -1);
+  EXPECT_EQ(o.measured_ns, 0);
+}
+
+TEST(ExecuteAttempt, FiredSiteNamesTheKeygenOrSortPhaseFault) {
+  const RemoteAttempt a = small_attempt();
+  int marks = 0;
+  const auto count = [&marks](const char*, double) { ++marks; };
+
+  // Every site armed: the keygen mark fires first, after its on_mark.
+  const RemoteOutcome keygen =
+      execute_attempt(a, FaultInjector(FaultConfig{kMatrixFaultSeed, 1.0}),
+                      count);
+  EXPECT_FALSE(keygen.ok);
+  EXPECT_EQ(keygen.fired_site, static_cast<int>(FaultSite::kKeygen));
+  EXPECT_EQ(keygen.failure.code(), StatusCode::kFaultInjected);
+  EXPECT_NE(keygen.failure.message().find("keygen"), std::string::npos);
+  EXPECT_EQ(marks, 1);
+
+  // Sort phases only: keygen passes, the first phase mark fires.
+  marks = 0;
+  const RemoteOutcome phase = execute_attempt(
+      a,
+      FaultInjector(FaultConfig{kMatrixFaultSeed, 1.0,
+                                fault_site_bit(FaultSite::kSortPhase)}),
+      count);
+  EXPECT_FALSE(phase.ok);
+  EXPECT_EQ(phase.fired_site, static_cast<int>(FaultSite::kSortPhase));
+  EXPECT_NE(phase.failure.message().find("sort-phase"), std::string::npos);
+  EXPECT_EQ(marks, 2);
+
+  // Nothing armed: the attempt succeeds and reports no site.
+  const RemoteOutcome clean =
+      execute_attempt(a, FaultInjector(FaultConfig{}), count);
+  EXPECT_TRUE(clean.ok) << clean.failure.to_string();
+  EXPECT_EQ(clean.fired_site, -1);
+  EXPECT_TRUE(clean.verified);
+}
+
 }  // namespace
 }  // namespace dsm::svc
