@@ -93,23 +93,6 @@ cluster::PoolConfig pool_config(int workers, int heartbeat_ms,
   return pc;
 }
 
-/// Everything deterministic the service produced, as one string. Every
-/// chaos cell must reproduce the single-process reference byte-for-byte
-/// — the gray-failure machinery (hedges, strikes, quarantine) is
-/// designed to stay out of these bytes.
-std::string replay_fingerprint(svc::SortService& svc,
-                               const std::vector<svc::JobSpec>& trace) {
-  std::string out;
-  for (const svc::JobResult& r : svc.replay(trace)) {
-    out += r.to_json();
-    out += '\n';
-  }
-  out += svc.metrics().to_json();
-  out += '\n';
-  out += svc.planner().calibration_json();
-  return out;
-}
-
 void wait_alive(cluster::WorkerPool& pool, int want) {
   for (int i = 0; i < 5000; ++i) {
     if (pool.alive_workers() >= want) return;

@@ -45,6 +45,7 @@
 namespace {
 
 using namespace dsm;
+using Scope = svc::Metrics::Scope;
 
 double now_sec() {
   return std::chrono::duration<double>(
@@ -66,21 +67,6 @@ cluster::PoolConfig pool_config(int workers) {
   pc.policy.min_workers = workers;
   pc.policy.max_workers = workers;
   return pc;
-}
-
-/// Everything deterministic the service produced, as one string. The
-/// cluster tier must reproduce this byte-for-byte.
-std::string replay_fingerprint(svc::SortService& svc,
-                               const std::vector<svc::JobSpec>& trace) {
-  std::string out;
-  for (const svc::JobResult& r : svc.replay(trace)) {
-    out += r.to_json();
-    out += '\n';
-  }
-  out += svc.metrics().to_json();
-  out += '\n';
-  out += svc.planner().calibration_json();
-  return out;
 }
 
 struct CrashCell {
@@ -203,7 +189,7 @@ int main(int argc, char** argv) {
                 "dispatch count must exceed acks by exactly the one "
                 "killed attempt");
       DSM_CHECK(pool.alive_workers() == 2, "dead worker was not replaced");
-      last_cluster_json = svc.metrics().cluster_json();
+      last_cluster_json = svc.metrics().json(Scope::kHost);
       pool.shutdown();
       cells.push_back(cell);
     }

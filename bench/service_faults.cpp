@@ -42,6 +42,7 @@
 namespace {
 
 using namespace dsm;
+using Scope = svc::Metrics::Scope;
 
 svc::ServiceConfig service_config(std::size_t capacity, int workers,
                                   std::uint64_t fault_seed,
@@ -85,7 +86,7 @@ std::string replay_json(svc::SortService& svc,
     os << "    " << results[i].to_json()
        << (i + 1 < results.size() ? ",\n" : "\n");
   }
-  os << "  ],\n  \"metrics\": " << svc.metrics().to_json()
+  os << "  ],\n  \"metrics\": " << svc.metrics().json(Scope::kDeterministic)
      << ",\n  \"calibration\": " << svc.planner().calibration_json()
      << "\n}\n";
   return os.str();
@@ -253,7 +254,8 @@ int main(int argc, char** argv) {
        << "}, \"p99_within_2x_unloaded\": "
        << (p99_bounded ? "true" : "false") << "},\n"
        << "  \"replay_selfcheck\": \"byte-identical\",\n"
-       << "  \"metrics\": " << over.metrics().to_json() << "\n"
+       << "  \"metrics\": " << over.metrics().json(Scope::kDeterministic)
+       << "\n"
        << "}\n";
     write_file_atomic(out_path, js.str());
     std::cout << "(json written to " << out_path << ")\n";

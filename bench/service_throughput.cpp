@@ -55,6 +55,7 @@
 namespace {
 
 using namespace dsm;
+using Scope = svc::Metrics::Scope;
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -121,7 +122,7 @@ std::string replay_json(svc::SortService& svc,
     os << "    " << results[i].to_json()
        << (i + 1 < results.size() ? ",\n" : "\n");
   }
-  os << "  ],\n  \"metrics\": " << svc.metrics().to_json()
+  os << "  ],\n  \"metrics\": " << svc.metrics().json(Scope::kDeterministic)
      << ",\n  \"calibration\": " << svc.planner().calibration_json()
      << "\n}\n";
   return os.str();
@@ -408,7 +409,8 @@ int main(int argc, char** argv) {
                  : "\"not run (pass --quick)\"")
        << ",\n"
        << "  \"calibration\": " << svc.planner().calibration_json() << ",\n"
-       << "  \"metrics\": " << svc.metrics().to_json() << "\n"
+       << "  \"metrics\": " << svc.metrics().json(Scope::kDeterministic)
+       << "\n"
        << "}\n";
     write_file_atomic(out_path, js.str());
     std::cout << "(json written to " << out_path << ")\n";

@@ -12,14 +12,6 @@ using svc::wire::dbl;
 using svc::wire::netstr;
 using svc::wire::Parser;
 
-StatusCode status_code_from_name(const std::string& name) {
-  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
-    const auto c = static_cast<StatusCode>(i);
-    if (name == status_code_name(c)) return c;
-  }
-  throw StatusError(Status::corrupt_frame("unknown status code: " + name));
-}
-
 MsgType msg_type_from_name(const std::string& name) {
   for (int i = 0; i < kMsgTypeCount; ++i) {
     const auto t = static_cast<MsgType>(i);
@@ -144,7 +136,7 @@ Result<WireMessage> decode_message(const std::string& payload) {
         m.passes = p.i32();
         m.verified = p.b();
         m.fired_site = p.i32();
-        const StatusCode code = status_code_from_name(p.tok());
+        const StatusCode code = svc::codec::get_status_code(p);
         const std::string msg = p.str();
         const bool retryable = p.b();
         m.failure =

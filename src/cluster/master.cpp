@@ -21,6 +21,13 @@
 namespace dsm::cluster {
 namespace {
 
+using Series = svc::Metrics::Series;
+
+/// Count an event on the bound registry (tests may leave it unbound).
+void add(svc::Metrics* metrics, Series s) {
+  if (metrics != nullptr) metrics->add(s);
+}
+
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -137,7 +144,8 @@ Status WorkerPool::spawn_locked(bool respawn) {
 
   workers_.push_back(std::move(w));
   ++total_spawned_;
-  if (metrics_ != nullptr) metrics_->on_worker_spawn(respawn);
+  add(metrics_, Series::kWorkersSpawned);
+  if (respawn) add(metrics_, Series::kWorkersRespawned);
   update_gauges_locked();
   cv_.notify_all();
   return Status();
@@ -192,7 +200,7 @@ void WorkerPool::accept_loop() {
     w->ch = std::move(*ch);
     workers_.push_back(std::move(w));
     ++total_spawned_;
-    if (metrics_ != nullptr) metrics_->on_worker_spawn(/*respawn=*/false);
+    add(metrics_, Series::kWorkersSpawned);
     update_gauges_locked();
     cv_.notify_all();
   }
@@ -260,7 +268,7 @@ void WorkerPool::fail_worker(Worker& w) {
     const std::lock_guard<std::mutex> lock(mu_);
     const bool owned = !w.external;
     reap_locked(w);
-    if (metrics_ != nullptr) metrics_->on_worker_death();
+    add(metrics_, Series::kWorkerDeaths);
     ++consecutive_deaths_;
     // 1:1 replacement keeps the complement stable between batch
     // boundaries; the elastic policy re-decides the size at the next
@@ -284,7 +292,7 @@ void WorkerPool::cancel_worker(Worker& w) {
   const std::lock_guard<std::mutex> lock(mu_);
   const bool owned = !w.external;
   reap_locked(w);
-  if (metrics_ != nullptr) metrics_->on_hedge_loser();
+  add(metrics_, Series::kHedgeLosers);
   if (owned && cfg_.fork_workers && !shutdown_) spawn_locked(/*respawn=*/true);
   update_gauges_locked();
   cv_.notify_all();
@@ -306,7 +314,7 @@ void WorkerPool::strike_worker(Worker& w) {
   const bool owned = !w.external;
   reap_locked(w);
   w.state = WorkerState::kQuarantined;
-  if (metrics_ != nullptr) metrics_->on_worker_quarantine();
+  add(metrics_, Series::kWorkersQuarantined);
   if (owned && cfg_.fork_workers && !shutdown_) spawn_locked(/*respawn=*/true);
   update_gauges_locked();
   cv_.notify_all();
@@ -319,7 +327,7 @@ void WorkerPool::retire_locked(Worker& w) {
   bye.type = MsgType::kShutdown;
   send_message(w.ch, bye);  // best-effort: EOF retires it just as well
   reap_locked(w);
-  if (metrics_ != nullptr) metrics_->on_worker_retire();
+  add(metrics_, Series::kWorkersRetired);
   update_gauges_locked();
 }
 
@@ -368,10 +376,8 @@ Status WorkerPool::drive(Worker* first, const svc::RemoteAttempt& attempt,
     task.check_integrity = attempt.check_integrity;
     task.expect = attempt.expect;
     if (on_dispatch) on_dispatch(w->label);
-    if (metrics_ != nullptr) {
-      metrics_->on_remote_dispatch();
-      if (hedge) metrics_->on_hedge_issued();
-    }
+    add(metrics_, Series::kDispatches);
+    if (hedge) add(metrics_, Series::kHedgesIssued);
     const Status s = send_message(w->ch, task);
     if (s.ok()) {
       Copy c;
@@ -482,7 +488,7 @@ Status WorkerPool::drive(Worker* first, const svc::RemoteAttempt& attempt,
       continue;
     }
     if (m->type == MsgType::kHeartbeat) {
-      if (metrics_ != nullptr) metrics_->on_heartbeat();
+      add(metrics_, Series::kHeartbeats);
       continue;
     }
     if (m->type == MsgType::kMark) {
@@ -501,7 +507,7 @@ Status WorkerPool::drive(Worker* first, const svc::RemoteAttempt& attempt,
         // its own verification failed and it said ok anyway). Discard
         // the result, charge the strike, and keep driving whatever
         // copies remain (the attempt is retryable above us).
-        if (metrics_ != nullptr) metrics_->on_integrity_violation();
+        add(metrics_, Series::kIntegrityViolations);
         last_err = Status::integrity_violation(
             "worker " + c.w->label +
             " result failed the end-to-end fingerprint (discarded)");
@@ -530,7 +536,7 @@ Status WorkerPool::drive(Worker* first, const svc::RemoteAttempt& attempt,
         cancel_worker(*copies[i].w);
       }
       copies.clear();
-      if (winner_hedge && metrics_ != nullptr) metrics_->on_hedge_won();
+      if (winner_hedge) add(metrics_, Series::kHedgesWon);
       release(*winner);
       return Status();
     }
@@ -560,7 +566,8 @@ svc::RemoteOutcome WorkerPool::run_attempt(const svc::RemoteAttempt& attempt,
     const Status s = drive(w, attempt, on_mark, on_dispatch, &out);
     if (s.ok()) {
       if (metrics_ != nullptr) {
-        metrics_->on_remote_ack((now_s() - t0) * 1e6);  // host us
+        metrics_->add(Series::kAcks);
+        metrics_->observe(Series::kDispatchAckHostUs, (now_s() - t0) * 1e6);
       }
       const std::lock_guard<std::mutex> lock(mu_);
       consecutive_deaths_ = 0;  // an ack resets the respawn backoff
@@ -573,9 +580,7 @@ svc::RemoteOutcome WorkerPool::run_attempt(const svc::RemoteAttempt& attempt,
     // reproduces the lost outcome bit-for-bit. drive() already settled
     // every worker it touched (fail/strike/cancel/release).
     death = s;
-    if (metrics_ != nullptr && deaths < cfg_.max_redispatch) {
-      metrics_->on_redispatch();
-    }
+    if (deaths < cfg_.max_redispatch) add(metrics_, Series::kRedispatches);
     out = svc::RemoteOutcome();
   }
   out.failure = Status::unavailable(

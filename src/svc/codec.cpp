@@ -39,6 +39,15 @@ keys::Dist get_dist(Parser& p) {
 
 }  // namespace
 
+StatusCode get_status_code(Parser& p) {
+  const std::string name = p.tok();
+  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
+    const auto c = static_cast<StatusCode>(i);
+    if (name == status_code_name(c)) return c;
+  }
+  throw StatusError(Status::corrupt_journal("unknown status code: " + name));
+}
+
 void put_plan(std::ostringstream& os, const Plan& p) {
   os << ' ' << sort::algo_name(p.algo) << ' ' << sort::model_name(p.model)
      << ' ' << p.radix_bits << ' ' << dbl(p.predicted_raw_ns) << ' '

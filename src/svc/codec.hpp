@@ -25,6 +25,9 @@ namespace dsm::svc::codec {
 void put_plan(std::ostringstream& os, const Plan& p);
 Plan get_plan(wire::Parser& p);
 
+/// A StatusCode by name; an unknown name is kCorruptJournal.
+StatusCode get_status_code(wire::Parser& p);
+
 /// " <error netstr> <retryable> <backoff> <fault_site>"
 void put_attempt(std::ostringstream& os, const AttemptRecord& a);
 AttemptRecord get_attempt(wire::Parser& p);

@@ -34,14 +34,6 @@ using wire::netstr;
 using wire::Parser;
 using wire::put_u32le;
 
-StatusCode status_code_from_name(const std::string& name) {
-  for (int i = 0; i <= static_cast<int>(StatusCode::kInternal); ++i) {
-    const auto c = static_cast<StatusCode>(i);
-    if (name == status_code_name(c)) return c;
-  }
-  throw StatusError(Status::corrupt_journal("unknown status code: " + name));
-}
-
 std::string segment_name(std::uint64_t first_lsn) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "journal-%012llu.wal",
@@ -192,7 +184,7 @@ JournalRecord decode_record(const std::string& payload) {
       jr.id = p.u64();
       jr.status = job_status_from_name(p.tok());
       jr.error = p.str();
-      const StatusCode code = status_code_from_name(p.tok());
+      const StatusCode code = codec::get_status_code(p);
       const std::string msg = p.str();
       const bool retryable = p.b();
       jr.final_status = code == StatusCode::kOk

@@ -232,13 +232,14 @@ RecoveryOutcome recover_dir(const std::string& dir, Planner& planner,
         // completion — in LSN order, which is the original batch order.
         for (const AttemptRecord& a : r.result.attempts) {
           if (a.fault_site >= 0 && a.fault_site < kFaultSiteCount) {
-            metrics.on_fault(static_cast<FaultSite>(a.fault_site));
+            metrics.add(Metrics::Series::kFaultsBySite, 1,
+                        static_cast<std::size_t>(a.fault_site));
           }
         }
         if (r.result.final_fault_site >= 0 &&
             r.result.final_fault_site < kFaultSiteCount) {
-          metrics.on_fault(
-              static_cast<FaultSite>(r.result.final_fault_site));
+          metrics.add(Metrics::Series::kFaultsBySite, 1,
+                      static_cast<std::size_t>(r.result.final_fault_site));
         }
         if ((r.result.status == JobStatus::kOk ||
              r.result.status == JobStatus::kDeadlineMiss) &&
@@ -264,11 +265,11 @@ RecoveryOutcome recover_dir(const std::string& dir, Planner& planner,
   }
   if (torn > 0) {
     out.report.torn_tails = torn;
-    for (std::uint64_t i = 0; i < torn; ++i) metrics.on_journal_torn_tail();
+    metrics.add(Metrics::Series::kJournalTornTail, torn);
   }
   if (corrupt > 0) {
     out.report.corrupt_records = corrupt;
-    metrics.on_journal_corrupt(corrupt);
+    metrics.add(Metrics::Series::kJournalCorrupt, corrupt);
   }
 
   // Decide each unfinished job's fate, in seq order.

@@ -181,13 +181,13 @@ void SortService::write_checkpoint() {
   if (!st.ok()) {
     // Journal remains authoritative; retry next round. Counted so the
     // chaos bench can see checkpointing degrade without losing state.
-    metrics_.on_snapshot_failure();
+    metrics_.add(Metrics::Series::kSnapshotFailures);
     return;
   }
   if (!cfg_.durability.keep_all_segments) {
     prune_segments(cfg_.durability.dir, s.lsn);
   }
-  metrics_.on_snapshot();
+  metrics_.add(Metrics::Series::kSnapshots);
   batches_since_snapshot_ = 0;
 }
 
@@ -211,7 +211,8 @@ Admission SortService::submit(JobSpec job, Status* why) {
     // A flaky front end: the client sees a retryable rejection and may
     // resubmit; the service never saw the job, so nothing is retried
     // internally.
-    metrics_.on_fault(FaultSite::kQueueAdmission);
+    metrics_.add(Metrics::Series::kFaultsBySite, 1,
+                 static_cast<std::size_t>(FaultSite::kQueueAdmission));
     a = Admission::kRejectedFault;
   } else {
     job.host_submit_s = now_s();
@@ -293,7 +294,7 @@ std::vector<JobResult> SortService::replay(
     batch.clear();
     const std::size_t got = queue_.pop_batch(cfg_.max_batch, batch);
     DSM_CHECK(got == end - begin, "replay round popped short");
-    metrics_.note_queue_depth(queue_.high_water());
+    metrics_.raise(Metrics::Series::kQueueDepthHighWater, queue_.high_water());
     process_batch(batch);
   }
   return take_results();
@@ -305,7 +306,7 @@ void SortService::server_loop() {
     batch.clear();
     const std::size_t got = queue_.pop_batch(cfg_.max_batch, batch);
     if (got == 0) return;  // closed and drained
-    metrics_.note_queue_depth(queue_.high_water());
+    metrics_.raise(Metrics::Series::kQueueDepthHighWater, queue_.high_water());
     process_batch(batch);
   }
 }
@@ -331,7 +332,8 @@ void SortService::plan_one(const JobSpec& job, JobResult& out,
     int fired_site = -1;
     if (injector_.should_fire(FaultSite::kPlannerCalibration, job.id,
                               attempt)) {
-      metrics_.on_fault(FaultSite::kPlannerCalibration);
+      metrics_.add(Metrics::Series::kFaultsBySite, 1,
+                   static_cast<std::size_t>(FaultSite::kPlannerCalibration));
       fired_site = static_cast<int>(FaultSite::kPlannerCalibration);
       failure =
           FaultInjector::fire(FaultSite::kPlannerCalibration, job.id, attempt);
@@ -460,13 +462,15 @@ void SortService::process_batch(std::vector<JobSpec>& batch) {
     // became durable — keep serving, surface the degradation in Metrics.
     const std::uint64_t dropped = journal_->records_dropped();
     if (dropped > journal_dropped_seen_) {
-      metrics_.on_degraded_append(dropped - journal_dropped_seen_);
-      metrics_.on_non_durable_jobs(count);
+      metrics_.add(Metrics::Series::kDegradedAppends,
+                   dropped - journal_dropped_seen_);
+      metrics_.add(Metrics::Series::kNonDurableJobs, count);
       journal_dropped_seen_ = dropped;
     }
     const std::uint64_t heals = journal_->heals();
-    for (; journal_heals_seen_ < heals; ++journal_heals_seen_) {
-      metrics_.on_durability_heal();
+    if (heals > journal_heals_seen_) {
+      metrics_.add(Metrics::Series::kHeals, heals - journal_heals_seen_);
+      journal_heals_seen_ = heals;
     }
     ++batches_since_snapshot_;
     if (cfg_.durability.snapshot_every_batches > 0 &&
@@ -534,14 +538,18 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
     // Keygen and sort-phase faults fire inside the attempt (worker-side
     // in cluster mode, from the same injector seed); their counters live
     // here.
-    if (fired_site >= 0) metrics_.on_fault(static_cast<FaultSite>(fired_site));
+    if (fired_site >= 0) {
+      metrics_.add(Metrics::Series::kFaultsBySite, 1,
+                   static_cast<std::size_t>(fired_site));
+    }
 
     if (ro.ran && ro.ok) {
       if (injector_.should_fire(FaultSite::kSerialize, job.id, attempt)) {
         // The sort finished but its result was lost on the way out; the
         // whole attempt must rerun. (Serialization is a master-side step,
         // so this fires here even in cluster mode.)
-        metrics_.on_fault(FaultSite::kSerialize);
+        metrics_.add(Metrics::Series::kFaultsBySite, 1,
+                     static_cast<std::size_t>(FaultSite::kSerialize));
         fired_site = static_cast<int>(FaultSite::kSerialize);
         failure = FaultInjector::fire(FaultSite::kSerialize, job.id, attempt);
       } else {
@@ -615,6 +623,19 @@ void SortService::execute_one(const JobSpec& job, const Plan& plan,
   if (job.host_submit_s > 0) {
     out.host_latency_ms = (now_s() - job.host_submit_s) * 1e3;
   }
+}
+
+std::string replay_fingerprint(SortService& svc,
+                               const std::vector<JobSpec>& trace) {
+  std::string out;
+  for (const JobResult& r : svc.replay(trace)) {
+    out += r.to_json();
+    out += '\n';
+  }
+  out += svc.metrics().json(Metrics::Scope::kDeterministic);
+  out += '\n';
+  out += svc.planner().calibration_json();
+  return out;
 }
 
 }  // namespace dsm::svc

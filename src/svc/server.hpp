@@ -210,4 +210,11 @@ class SortService {
   std::vector<JobResult> results_;
 };
 
+/// The deterministic scope of the replay contract: `trace` replayed on
+/// `svc`, rendered as each result's JSON line, the deterministic metrics
+/// and the planner calibration. The same trace yields the same bytes for
+/// any worker count, in one process or on a cluster.
+std::string replay_fingerprint(SortService& svc,
+                               const std::vector<JobSpec>& trace);
+
 }  // namespace dsm::svc

@@ -3,7 +3,7 @@
 // A snapshot is one CRC-framed blob holding everything recovery would
 // otherwise have to reconstruct by replaying the journal from LSN 0:
 // the planner's calibration cells (hexfloat, so the EWMA factors restore
-// bit-exactly), the complete Metrics state, the set of job ids ever
+// bit-exactly), every deterministic metric series, the set of job ids ever
 // admitted (the idempotence filter), the jobs that were sitting in the
 // queue at checkpoint time, and the journal LSN the snapshot covers.
 // After loading a snapshot, recovery replays only the journal suffix —
@@ -37,7 +37,7 @@ struct SnapshotData {
   /// model). Serialized as the named "cells2" list; the decoder also
   /// accepts the legacy positional 8-cell layout from old snapshots.
   std::vector<Planner::CellState> planner_cells;
-  /// Complete metrics registry state.
+  /// Every deterministic metric series, in the registry's table order.
   Metrics::State metrics;
   /// Jobs admitted but still queued at checkpoint time (the checkpoint is
   /// taken between batches, so nothing is mid-execution). Their svc_seq

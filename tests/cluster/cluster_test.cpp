@@ -53,21 +53,6 @@ std::vector<svc::JobSpec> small_trace(std::size_t count) {
   return svc::make_trace(1234, count, mix);
 }
 
-/// Everything deterministic the service produced, as one string. The
-/// cluster tier must reproduce this byte-for-byte for any worker count.
-std::string replay_fingerprint(svc::SortService& svc,
-                               const std::vector<svc::JobSpec>& trace) {
-  std::string out;
-  for (const svc::JobResult& r : svc.replay(trace)) {
-    out += r.to_json();
-    out += '\n';
-  }
-  out += svc.metrics().to_json();
-  out += '\n';
-  out += svc.planner().calibration_json();
-  return out;
-}
-
 PoolConfig pool_config(int workers) {
   PoolConfig pc;
   pc.policy.min_workers = workers;

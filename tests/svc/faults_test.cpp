@@ -45,18 +45,6 @@ std::vector<JobSpec> matrix_trace() {
   return make_trace(77, 40, mix);
 }
 
-std::string fingerprint(SortService& svc, const std::vector<JobSpec>& trace) {
-  std::string out;
-  for (const JobResult& r : svc.replay(trace)) {
-    out += r.to_json();
-    out += '\n';
-  }
-  out += svc.metrics().to_json();
-  out += '\n';
-  out += svc.planner().calibration_json();
-  return out;
-}
-
 TEST(FaultInjector, DecisionIsAPureFunctionOfTheTuple) {
   FaultConfig cfg;
   cfg.seed = 99;
@@ -205,7 +193,8 @@ TEST(FaultMatrix, FortyJobMixedRunIsIsolatedAndFullyAccounted) {
 
   // Every in-pipeline site fired (admission faults live in submit(),
   // which replay bypasses by design — covered separately below).
-  const std::vector<std::uint64_t> fired = svc.metrics().fault_counts();
+  const std::vector<std::uint64_t> fired =
+      svc.metrics().values(Metrics::Series::kFaultsBySite);
   EXPECT_GT(fired[static_cast<std::size_t>(FaultSite::kKeygen)], 0u);
   EXPECT_GT(fired[static_cast<std::size_t>(FaultSite::kSortPhase)], 0u);
   EXPECT_GT(
@@ -217,11 +206,11 @@ TEST(FaultMatrix, FortyJobMixedRunIsIsolatedAndFullyAccounted) {
 TEST(FaultMatrix, ReplayWithFaultsIsByteIdenticalForAnyWorkerCount) {
   const std::vector<JobSpec> trace = matrix_trace();
   SortService one(faulty_config(1, 0.08));
-  const std::string base = fingerprint(one, trace);
+  const std::string base = replay_fingerprint(one, trace);
   EXPECT_NE(base.find("FAULT_INJECTED"), std::string::npos);
   for (const int workers : {2, 4}) {
     SortService many(faulty_config(workers, 0.08));
-    EXPECT_EQ(fingerprint(many, trace), base) << "workers=" << workers;
+    EXPECT_EQ(replay_fingerprint(many, trace), base) << "workers=" << workers;
   }
 }
 
@@ -242,9 +231,8 @@ TEST(FaultMatrix, AdmissionFaultsRejectAtTheFrontDoor) {
   const Metrics::Counters c = svc.metrics().counters();
   EXPECT_EQ(c.rejected_fault, 1u);
   EXPECT_EQ(
-      svc.metrics()
-          .fault_counts()[static_cast<std::size_t>(
-              FaultSite::kQueueAdmission)],
+      svc.metrics().values(Metrics::Series::kFaultsBySite)[static_cast<
+          std::size_t>(FaultSite::kQueueAdmission)],
       1u);
 }
 

@@ -205,17 +205,6 @@ ServiceConfig small_config(int workers) {
   return cfg;
 }
 
-std::string replay_fingerprint(SortService& svc,
-                               const std::vector<JobSpec>& trace) {
-  std::string out;
-  for (const JobResult& r : svc.replay(trace)) {
-    out += r.to_json();
-    out += '\n';
-  }
-  out += svc.metrics().to_json();
-  return out;
-}
-
 TEST(RecordReplay, MixedRecordStreamIsByteIdenticalForAnyWorkerCount) {
   // The service determinism contract extended to the record axis: a
   // trace interleaving u32 and kv32 jobs (and skewed distributions)

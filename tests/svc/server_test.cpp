@@ -45,20 +45,6 @@ std::vector<JobSpec> small_trace(std::size_t count) {
   return make_trace(99, count, mix);
 }
 
-// Everything deterministic the service produced, as one string.
-std::string replay_fingerprint(SortService& svc,
-                               const std::vector<JobSpec>& trace) {
-  std::string out;
-  for (const JobResult& r : svc.replay(trace)) {
-    out += r.to_json();
-    out += '\n';
-  }
-  out += svc.metrics().to_json();
-  out += '\n';
-  out += svc.planner().calibration_json();
-  return out;
-}
-
 TEST(SortService, ReplayIsByteIdenticalForAnyWorkerCount) {
   const std::vector<JobSpec> trace = small_trace(10);
   SortService one(small_config(1));
@@ -244,7 +230,9 @@ TEST(SortService, DiskFaultsDegradeDurabilityButTheServiceKeepsServing) {
   const Metrics::DiskHealth dh = svc.metrics().disk_health();
   EXPECT_GT(dh.degraded_appends, 0u);
   EXPECT_EQ(dh.non_durable_jobs, 4u);  // every job rode a degraded batch
-  EXPECT_NE(svc.metrics().disk_json().find("\"degraded_appends\""),
+  EXPECT_NE(svc.metrics()
+                .json(Metrics::Scope::kEnvironment)
+                .find("\"degraded_appends\""),
             std::string::npos);
 }
 
