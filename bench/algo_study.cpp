@@ -33,6 +33,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -368,7 +369,10 @@ int main(int argc, char** argv) {
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"config\": {\"seed\": " << env.seed << ", \"procs\": " << procs
        << ", \"reps\": " << reps << ", \"full_reps\": " << full_reps
-       << ", \"flip_ratio\": " << fmt_fixed(kFlipRatio, 2) << "},\n";
+       << ", \"flip_ratio\": " << fmt_fixed(kFlipRatio, 2)
+       << ", \"host\": {\"hardware_threads\": "
+       << std::thread::hardware_concurrency() << ", \"kernel_isa\": \""
+       << sort::kernel_isa_name() << "\"}},\n";
     js << "  \"local\": {\"description\": \"sequential backend kernels, "
           "host seconds, best-of-"
        << reps << "\", \"cells\": [\n";

@@ -78,8 +78,7 @@ inline void banner(const std::string& what, const BenchEnv& env) {
   for (const auto s : env.sizes) std::cout << ' ' << fmt_count(s);
   std::cout << "  procs:";
   for (const int p : env.procs) std::cout << ' ' << p;
-  std::cout << "  engine: " << engine_name(default_spmd_engine())
-            << "  kernels: "
+  std::cout << "  kernels: "
             << sort::kernel_backend_name(sort::default_kernel_backend())
             << " (isa " << sort::kernel_isa_name() << ")"
             << "  jobs: " << env.jobs;

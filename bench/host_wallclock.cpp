@@ -1,19 +1,14 @@
-// Host wall-clock benchmark for the execution engine and the host radix
-// kernels: times the Figure-3 radix sweep under the seed thread-per-rank
-// engine and the cooperative fiber engine, asserts the two produce
-// bit-identical virtual times, times the reference vs optimized kernel
-// backends with a per-kernel (histogram / permute / copy) split per
+// Host wall-clock benchmark for the simulator and the host radix kernels:
+// times the Figure-3 radix sweep twice, asserts the two repetitions
+// produce bit-identical virtual times, times the reference vs optimized
+// kernel backends with a per-kernel (histogram / permute / copy) split per
 // (n, radix_bits) cell, and writes the measurements to BENCH_host.json.
-//
-// Also times a barrier-bound configuration (small keys, 64 ranks) where
-// engine overhead — kernel barriers and context switches vs in-process
-// fiber swaps — dominates the charged work.
 //
 // Options: the common set (--sizes/--procs/--radix/--seed/--jobs) plus
 //   --quick        small sizes + fewer reps (the ctest wiring uses this)
 //   --out PATH     where to write the JSON (default BENCH_host.json)
-//   --kernels-only skip the engine sweeps and barrier micro; run only the
-//                  kernel cells (what scripts/kernel_speed_gate.sh uses)
+//   --kernels-only skip the sweep; run only the kernel cells (what
+//                  scripts/kernel_speed_gate.sh uses)
 //   --calibrate    sweep the kernel tunables (staging cap, WC bucket
 //                  floor) on this host and print the best settings
 //                  instead of benchmarking; see EXPERIMENTS.md
@@ -27,6 +22,7 @@
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
+#include "common/team.hpp"
 #include "perf/report.hpp"
 #include "sort/kernels.hpp"
 #include "sort/merge_sort.hpp"
@@ -43,11 +39,10 @@ double now_s() {
       .count();
 }
 
-/// Run the fig3-style sweep (all four radix models per (n, p) cell) under
-/// one engine; returns wall seconds and appends every virtual time, in
-/// deterministic cell-major order, to `virt`.
-double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
-                   std::vector<double>& virt) {
+/// Run the fig3-style sweep (all four radix models per (n, p) cell);
+/// returns wall seconds and appends every virtual time, in deterministic
+/// cell-major order, to `virt`.
+double timed_sweep(const bench::BenchEnv& env, std::vector<double>& virt) {
   static constexpr sort::Model kModels[] = {
       sort::Model::kShmem, sort::Model::kCcSas, sort::Model::kMpi,
       sort::Model::kCcSasNew};
@@ -70,7 +65,6 @@ double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
           spec.nprocs = cells[i].p;
           spec.n = cells[i].n;
           spec.radix_bits = env.radix_bits;
-          spec.engine = engine;
           cell[m] = bench::run_spec(spec, env.seed).elapsed_ns;
         }
         return cell;
@@ -80,24 +74,6 @@ double timed_sweep(const bench::BenchEnv& env, SpmdEngine engine,
     virt.insert(virt.end(), cell.begin(), cell.end());
   }
   return wall;
-}
-
-/// Repeat a small high-processor-count sort where reconcile rounds, not
-/// charged compute, dominate host time.
-double timed_barrier_micro(std::uint64_t n, int procs, int reps,
-                           std::uint64_t seed, SpmdEngine engine) {
-  const double t0 = now_s();
-  for (int i = 0; i < reps; ++i) {
-    sort::SortSpec spec;
-    spec.algo = sort::Algo::kRadix;
-    spec.model = sort::Model::kShmem;
-    spec.nprocs = procs;
-    spec.n = n;
-    spec.radix_bits = 8;
-    spec.engine = engine;
-    (void)bench::run_spec(spec, seed);
-  }
-  return now_s() - t0;
 }
 
 /// Wall time of one full sort split by kernel: counting sweeps (plus the
@@ -465,39 +441,19 @@ int main(int argc, char** argv) {
       bench::banner("Host kernel tunable calibration", env);
       return run_calibration(env, quick);
     }
-    bench::banner(kernels_only
-                      ? "Host wall-clock: radix kernel backends"
-                      : "Host wall-clock: cooperative engine vs "
-                        "thread-per-rank",
+    bench::banner(kernels_only ? "Host wall-clock: radix kernel backends"
+                               : "Host wall-clock: simulator and kernels",
                   env);
 
-    double wall_threads = 0, wall_coop = 0, sweep_speedup = 0;
-    double micro_threads = 0, micro_coop = 0, micro_speedup = 0;
-    const std::uint64_t micro_n = 65536;
-    const int micro_p = 64;
-    const int micro_reps = quick ? 5 : 20;
+    double wall_s = 0;
     if (!kernels_only) {
-      // Warm the thread-local input cache and the per-size page-policy
-      // state once so both engines start from identical host conditions.
-      std::vector<double> warm_virt;
-      (void)timed_sweep(env, SpmdEngine::kThreads, warm_virt);
-
-      std::vector<double> virt_threads, virt_coop;
-      wall_threads = timed_sweep(env, SpmdEngine::kThreads, virt_threads);
-      wall_coop = timed_sweep(env, SpmdEngine::kCooperative, virt_coop);
-      DSM_CHECK(virt_threads == virt_coop,
-                "engines disagree on virtual times");
-      DSM_CHECK(virt_threads == warm_virt,
+      // The first sweep warms the thread-local input cache and the
+      // per-size page-policy state; the second is the one timed.
+      std::vector<double> warm_virt, virt;
+      (void)timed_sweep(env, warm_virt);
+      wall_s = timed_sweep(env, virt);
+      DSM_CHECK(virt == warm_virt,
                 "virtual times changed between repetitions");
-      sweep_speedup = wall_threads / wall_coop;
-
-      (void)timed_barrier_micro(micro_n, micro_p, 1, env.seed,
-                                SpmdEngine::kThreads);  // warm
-      micro_threads = timed_barrier_micro(micro_n, micro_p, micro_reps,
-                                          env.seed, SpmdEngine::kThreads);
-      micro_coop = timed_barrier_micro(micro_n, micro_p, micro_reps,
-                                       env.seed, SpmdEngine::kCooperative);
-      micro_speedup = micro_threads / micro_coop;
     }
 
     // Kernel backends: per-(n, radix_bits) cells with a histogram /
@@ -544,15 +500,8 @@ int main(int argc, char** argv) {
     };
 
     if (!kernels_only) {
-      std::cout << "  fig3-style sweep: threads "
-                << fmt_fixed(wall_threads, 2) << "s  coop "
-                << fmt_fixed(wall_coop, 2) << "s  speedup "
-                << fmt_fixed(sweep_speedup, 2) << "x\n"
-                << "  barrier micro (64K keys, 64P, " << micro_reps
-                << " reps): threads " << fmt_fixed(micro_threads, 2)
-                << "s  coop " << fmt_fixed(micro_coop, 2) << "s  speedup "
-                << fmt_fixed(micro_speedup, 2) << "x\n"
-                << "  virtual times bit-identical across engines: yes\n";
+      std::cout << "  fig3-style sweep: " << fmt_fixed(wall_s, 2)
+                << "s (virtual times bit-identical across repetitions)\n";
     }
     std::cout << "  kernel backends (reference -> optimized, best of "
               << kernel_reps << ", isa " << sort::kernel_isa_name()
@@ -589,7 +538,7 @@ int main(int argc, char** argv) {
        << "  \"host\": {\"hardware_threads\": "
        << std::thread::hardware_concurrency()
        << ", \"kernel_isa\": \"" << sort::kernel_isa_name()
-       << "\", \"default_engine\": \"" << engine_name(default_spmd_engine())
+       << "\", \"engine\": \"" << engine_name(default_spmd_engine())
        << "\"},\n"
        << "  \"config\": {\"sizes\": " << json_list(env.sizes)
        << ", \"procs\": " << json_list(env.procs)
@@ -599,15 +548,8 @@ int main(int argc, char** argv) {
        << "},\n"
        << "  \"sweep\": {\"description\": "
        << "\"fig3-style radix sweep, all four models per (n, p) cell\", "
-       << "\"threads_wall_s\": " << fmt_fixed(wall_threads, 3)
-       << ", \"coop_wall_s\": " << fmt_fixed(wall_coop, 3)
-       << ", \"speedup\": " << fmt_fixed(sweep_speedup, 3)
-       << ", \"virtual_times_identical\": true},\n"
-       << "  \"barrier_micro\": {\"n\": " << micro_n << ", \"procs\": "
-       << micro_p << ", \"reps\": " << micro_reps
-       << ", \"threads_wall_s\": " << fmt_fixed(micro_threads, 3)
-       << ", \"coop_wall_s\": " << fmt_fixed(micro_coop, 3)
-       << ", \"speedup\": " << fmt_fixed(micro_speedup, 3) << "},\n"
+       << "\"wall_s\": " << fmt_fixed(wall_s, 3)
+       << ", \"virtual_times_repeat\": true},\n"
        << "  \"kernels\": {\"description\": \"host radix kernel backends, "
        << "uncharged full sorts, best of " << kernel_reps
        << " reps, gauss keys; backends sort byte-identically\",\n"
@@ -649,10 +591,9 @@ int main(int argc, char** argv) {
     js << "    ]},\n"
        << "  \"notes\": \"Sweep cells at the default sizes are dominated "
        << "by the charged sort compute itself (the simulator executes "
-       << "real radix passes), so the engine speedup there is modest; "
-       << "barrier-bound configurations isolate the engine cost. On a "
-       << "single-core host the --jobs sweep pool adds nothing; on "
-       << "multi-core hosts the independent cells scale with --jobs.\"\n"
+       << "real radix passes). Each rank is an OS thread, so one cell "
+       << "already spreads over the host's cores; --jobs runs independent "
+       << "cells side by side.\"\n"
        << "}\n";
     write_file_atomic(out_path, js.str());
     std::cout << "(json written to " << out_path << ")\n";

@@ -1,46 +1,64 @@
 #include "common/barrier.hpp"
 
-namespace dsm {
+#include <thread>
 
-CentralBarrier::CentralBarrier(int parties) : parties_(parties) {
+namespace dsm {
+namespace {
+
+// Yields before sleeping: enough to cover a round whose members arrive
+// together, few enough that a waiter behind a long local phase soon
+// sleeps.
+constexpr int kSpins = 64;
+
+}  // namespace
+
+CentralBarrier::CentralBarrier(int parties)
+    : parties_(parties),
+      spin_(static_cast<unsigned>(parties) <=
+            std::thread::hardware_concurrency()) {
   DSM_REQUIRE(parties >= 1, "barrier needs at least one party");
 }
 
 void CentralBarrier::arrive_and_wait(const std::function<void()>& completion) {
-  std::unique_lock lock(mu_);
-  if (poisoned_) throw Error("barrier poisoned: a team member failed");
-  const bool my_sense = sense_;
-  if (++arrived_ == parties_) {
+  // Read before arriving: the round this arrival belongs to cannot be
+  // released until it is counted.
+  const std::uint32_t seen = state_.load(std::memory_order_acquire);
+  if ((seen & kPoisonedBit) != 0) throw BarrierPoisoned();
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
     if (completion) {
       try {
         completion();
       } catch (...) {
         // Release the waiters as poisoned, then propagate to the runner.
-        poisoned_ = true;
-        cv_.notify_all();
+        poison();
         throw;
       }
     }
-    arrived_ = 0;
-    sense_ = !sense_;
-    cv_.notify_all();
+    arrived_.store(0, std::memory_order_relaxed);
+    // Release: publishes the completion's writes and the reset count.
+    state_.fetch_add(2, std::memory_order_release);
+    state_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return sense_ != my_sense || poisoned_; });
-  if (poisoned_ && sense_ == my_sense) {
-    throw Error("barrier poisoned: a team member failed");
+  std::uint32_t now = seen;
+  for (int i = 0; spin_ && i < kSpins && now == seen; ++i) {
+    std::this_thread::yield();
+    now = state_.load(std::memory_order_acquire);
   }
+  while (now == seen) {
+    state_.wait(seen, std::memory_order_acquire);
+    now = state_.load(std::memory_order_acquire);
+  }
+  if ((now >> 1) == (seen >> 1)) throw BarrierPoisoned();
 }
 
 void CentralBarrier::poison() {
-  std::lock_guard lock(mu_);
-  poisoned_ = true;
-  cv_.notify_all();
+  state_.fetch_or(kPoisonedBit, std::memory_order_release);
+  state_.notify_all();
 }
 
 bool CentralBarrier::poisoned() const {
-  std::lock_guard lock(mu_);
-  return poisoned_;
+  return (state_.load(std::memory_order_acquire) & kPoisonedBit) != 0;
 }
 
 }  // namespace dsm

@@ -7,13 +7,20 @@
 // ahead before results are published.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "common/error.hpp"
 
 namespace dsm {
+
+/// Thrown to a rank released from (or arriving at) a poisoned barrier: the
+/// consequence of another member's failure, never its cause.
+class BarrierPoisoned : public Error {
+ public:
+  BarrierPoisoned() : Error("barrier poisoned: a team member failed") {}
+};
 
 class CentralBarrier {
  public:
@@ -25,12 +32,14 @@ class CentralBarrier {
   /// Block until all parties arrive. The last arriver runs `completion`
   /// (if nonempty) before anyone is released. SPMD callers must pass the
   /// same logical completion from every rank; the one executed is the last
-  /// arriver's. Throws Error if the barrier is (or becomes) poisoned.
+  /// arriver's. Throws BarrierPoisoned if the barrier is (or becomes)
+  /// poisoned; a throwing `completion` poisons it and propagates to the
+  /// last arriver.
   void arrive_and_wait(const std::function<void()>& completion = {});
 
-  /// Mark the barrier unusable and wake all waiters with an Error. Called
-  /// when one rank fails so the rest of the team cannot deadlock waiting
-  /// for it. Idempotent.
+  /// Mark the barrier unusable and wake all waiters with BarrierPoisoned.
+  /// Called when one rank fails so the rest of the team cannot deadlock
+  /// waiting for it. Idempotent.
   void poison();
 
   bool poisoned() const;
@@ -38,12 +47,17 @@ class CentralBarrier {
   int parties() const { return parties_; }
 
  private:
+  static constexpr std::uint32_t kPoisonedBit = 1;
+
   const int parties_;
-  int arrived_ = 0;
-  bool sense_ = false;  // flips every round
-  bool poisoned_ = false;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  // A team with no more members than hardware threads yields briefly
+  // before it sleeps: its rounds usually release within microseconds,
+  // and a futex sleep and wake-up costs ~10 us per round. An
+  // oversubscribed team sleeps at once.
+  const bool spin_;
+  std::atomic<int> arrived_{0};
+  // 2 x released rounds, plus kPoisonedBit; waiters wait for it to change.
+  std::atomic<std::uint32_t> state_{0};
 };
 
 }  // namespace dsm

@@ -1,70 +1,37 @@
-// SPMD execution engines.
+// SPMD execution: one OS thread per logical rank.
 //
 // The simulator runs the same body on every logical rank and synchronises
-// exclusively through barrier-with-completion collectives (see
-// sim::SimTeam::reconcile). Two engines provide that contract:
-//
-//  * kThreads — one OS thread per rank parked on a condition-variable
-//    barrier (the original engine). Functional concurrency only — all
-//    *timing* is virtual — so oversubscribing the host (64 logical
-//    processes on one core) is deliberate and harmless, but every
-//    reconcile point costs kernel wakeups.
-//  * kCooperative — every rank is a stackful fiber (ucontext) multiplexed
-//    on the calling thread; a rank runs serially to its next reconcile
-//    point and the last arriver runs the completion inline. Zero OS
-//    threads, zero kernel barriers, and bit-identical virtual times
-//    (completions are pure functions over the rank-indexed deposits, so
-//    scheduling order cannot change results).
+// exclusively through barrier-with-completion rounds (CentralBarrier; see
+// sim::SimTeam::reconcile). Each rank is an OS thread parked on the
+// barrier between rounds. Functional concurrency only — all *timing* is
+// virtual — so running 64 ranks on a 4-core host is deliberate and
+// harmless, and host scheduling cannot leak into results: every
+// completion is a pure function over the rank-indexed deposits.
 #pragma once
 
 #include <functional>
-#include <memory>
 
 namespace dsm {
 
-/// Run `body(rank)` on `nprocs` threads; rethrows the first exception any
-/// rank threw (by rank order) after all threads have joined.
+/// Run `body(rank)` on `nprocs` threads, rank 0 on the calling one, and
+/// join them all. Then rethrow the exception that failed the team: the
+/// lowest-ranked one that is not a BarrierPoisoned wake-up, or, when
+/// every failure is one (the team was poisoned before it ran), the
+/// lowest-ranked of those.
 ///
-/// NOTE: if a rank throws while others are parked inside a barrier, the
-/// program cannot continue (the barrier would wait forever); bodies are
-/// expected to validate inputs *before* entering collective code, which is
-/// why all runtime preconditions are checked on entry to collectives.
+/// A rank that throws while others are parked in a barrier must poison
+/// that barrier (sim::SimTeam::run does), or the team never finishes.
 void run_spmd(int nprocs, const std::function<void(int)>& body);
 
+/// The one SPMD engine. Kept only so benchmark reports can label their
+/// provenance; nothing selects it.
 enum class SpmdEngine {
   kThreads,
-  kCooperative,
 };
 
 const char* engine_name(SpmdEngine e);
 
-/// Engine used when a SimTeam/SortSpec does not pin one explicitly:
-/// kCooperative, overridable via DSMSORT_ENGINE=threads|coop.
+/// Provenance label for the engine every team runs on (always kThreads).
 SpmdEngine default_spmd_engine();
-
-/// One SPMD team execution backend. All cross-rank synchronisation flows
-/// through arrive_and_wait; the completion runs exactly once per round, on
-/// the last arriver, while every other rank is quiescent.
-class SpmdExecutor {
- public:
-  virtual ~SpmdExecutor() = default;
-
-  /// Run `body(rank)` on every rank to completion (blocking). Rethrows the
-  /// first per-rank exception by rank order, after every rank has unwound.
-  virtual void run(const std::function<void(int)>& body) = 0;
-
-  /// Barrier with completion hook; semantics of CentralBarrier
-  /// (throws Error once the team is poisoned).
-  virtual void arrive_and_wait(const std::function<void()>& completion) = 0;
-
-  /// Mark the team unusable and release any parked ranks with an Error.
-  virtual void poison() = 0;
-  virtual bool poisoned() const = 0;
-
-  virtual int parties() const = 0;
-};
-
-std::unique_ptr<SpmdExecutor> make_spmd_executor(SpmdEngine engine,
-                                                 int nprocs);
 
 }  // namespace dsm

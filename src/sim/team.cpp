@@ -2,13 +2,13 @@
 
 #include <algorithm>
 
+#include "common/team.hpp"
+
 namespace dsm::sim {
 
-SimTeam::SimTeam(int nprocs, const machine::MachineParams& params,
-                 SpmdEngine engine)
+SimTeam::SimTeam(int nprocs, const machine::MachineParams& params)
     : cost_(params, nprocs),
-      engine_(engine),
-      exec_(make_spmd_executor(engine, nprocs)),
+      barrier_(nprocs),
       clocks_(static_cast<std::size_t>(nprocs)),
       phase_logs_(static_cast<std::size_t>(nprocs)),
       trace_logs_(static_cast<std::size_t>(nprocs)),
@@ -20,15 +20,15 @@ SimTeam::SimTeam(int nprocs, const machine::MachineParams& params,
 }
 
 void SimTeam::run(const std::function<void(ProcContext&)>& body) {
-  DSM_REQUIRE(!exec_->poisoned(),
+  DSM_REQUIRE(!barrier_.poisoned(),
               "team was poisoned by an earlier failure; create a new team");
-  exec_->run([&](int rank) {
+  run_spmd(nprocs(), [&](int rank) {
     ProcContext ctx(*this, rank,
                     clocks_[static_cast<std::size_t>(rank)].value, cost_);
     try {
       body(ctx);
     } catch (...) {
-      exec_->poison();  // wake any ranks parked in collectives
+      barrier_.poison();  // wake any ranks parked in collectives
       throw;
     }
   });

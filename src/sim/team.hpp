@@ -14,11 +14,10 @@
 //   * two_sided_epoch / get_epoch / put_epoch / scattered_write_epoch —
 //     apply the engines in epoch.hpp to the team's clocks.
 //
-// Ranks execute on a pluggable SpmdEngine (see common/team.hpp): the
-// default cooperative scheduler multiplexes them as fibers on the calling
-// thread; the thread engine runs one OS thread per rank. Virtual times are
-// bit-identical across engines — reconciliation functions are pure over
-// the rank-indexed deposits, so host scheduling cannot leak into results.
+// Each rank is an OS thread (run_spmd, common/team.hpp) and every
+// collective is one CentralBarrier round. Virtual times do not depend on
+// the host schedule: reconciliation functions are pure over the
+// rank-indexed deposits, so host scheduling cannot leak into results.
 #pragma once
 
 #include <functional>
@@ -27,8 +26,8 @@
 #include <vector>
 
 #include "common/align.hpp"
+#include "common/barrier.hpp"
 #include "common/error.hpp"
-#include "common/team.hpp"
 #include "machine/cost.hpp"
 #include "sim/clock.hpp"
 #include "sim/epoch.hpp"
@@ -40,12 +39,10 @@ namespace dsm::sim {
 
 class SimTeam {
  public:
-  SimTeam(int nprocs, const machine::MachineParams& params,
-          SpmdEngine engine = default_spmd_engine());
+  SimTeam(int nprocs, const machine::MachineParams& params);
 
   int nprocs() const { return cost_.nprocs(); }
   const machine::CostModel& cost() const { return cost_; }
-  SpmdEngine engine() const { return engine_; }
 
   /// Run `body` on every rank (blocking). May be called multiple times;
   /// clocks accumulate across calls unless reset_clocks() is used.
@@ -65,7 +62,7 @@ class SimTeam {
   /// hook aborts the run like any rank failure (team poison). Used by the
   /// sort driver for fault injection, cooperative cancellation, and
   /// virtual-time deadline enforcement. The hook must be safe to call
-  /// concurrently from different ranks under the thread engine.
+  /// concurrently from different rank threads.
   using PhaseHook =
       std::function<void(int rank, const char* name, double virtual_ns)>;
   void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
@@ -98,7 +95,7 @@ class SimTeam {
   Out reconcile(ProcContext& ctx, const In& in, Fn fn) {
     const auto r = static_cast<std::size_t>(ctx.rank());
     deposits_[r].value = &in;
-    exec_->arrive_and_wait([&] {
+    barrier_.arrive_and_wait([&] {
       std::vector<const In*> ins(static_cast<std::size_t>(nprocs()));
       for (std::size_t i = 0; i < ins.size(); ++i) {
         ins[i] = static_cast<const In*>(deposits_[i].value);
@@ -158,8 +155,7 @@ class SimTeam {
   void gather_epoch_inputs(std::span<const EpochIn* const> ins);
 
   machine::CostModel cost_;
-  const SpmdEngine engine_;
-  std::unique_ptr<SpmdExecutor> exec_;
+  CentralBarrier barrier_;
   void trace_event(int rank, TraceEvent::Kind kind, double start_ns,
                    double end_ns, std::uint64_t transfers,
                    std::uint64_t bytes);
@@ -175,7 +171,7 @@ class SimTeam {
 
   // Epoch-completion scratch, reused across rounds. Only the last arriver
   // touches these, and rounds are totally ordered by the barrier, so no
-  // synchronisation is needed under either engine.
+  // further synchronisation is needed.
   std::vector<const std::vector<Transfer>*> scratch_transfers_;
   std::vector<const std::vector<ScatteredTraffic>*> scratch_traffic_;
   std::vector<double> scratch_entries_;

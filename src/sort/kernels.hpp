@@ -162,9 +162,8 @@ struct RadixWorkspace {
 };
 
 /// The calling host thread's lazily-created workspace. The legacy
-/// (workspace-free) sort entry points borrow this; it is safe under the
-/// cooperative fiber engine too because no kernel yields mid-call (the
-/// borrow never spans a reconcile point).
+/// (workspace-free) sort entry points borrow this; every rank is its own
+/// thread, so no two ranks ever share one.
 RadixWorkspace& tls_radix_workspace();
 
 /// Number of nonzero buckets.

@@ -29,7 +29,7 @@ void checkpoint(const SortSpec& spec, const char* site, double virtual_ns) {
 
 /// Arm tracing and the per-phase hook on a freshly built team. The hook
 /// fires on rank 0's phase marks only: one deterministic stream of sites
-/// regardless of engine or host schedule.
+/// regardless of the host schedule.
 void arm_team(const SortSpec& spec, sim::SimTeam& team) {
   if (!spec.trace_json_path.empty()) team.enable_tracing();
   if (spec.hooks.on_site || spec.hooks.cancel != nullptr) {
@@ -103,8 +103,7 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
 /// initialisation), run the algorithm's rank body, finish.
 SortResult run_sort_impl(const SortSpec& spec,
                          const machine::MachineParams& mp) {
-  sim::SimTeam team(spec.nprocs, mp,
-                    spec.engine.value_or(default_spmd_engine()));
+  sim::SimTeam team(spec.nprocs, mp);
   arm_team(spec, team);
   const std::unique_ptr<ModelRuntime> rt = make_runtime(spec, team);
   checkpoint(spec, "keygen", 0.0);

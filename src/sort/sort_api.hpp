@@ -23,7 +23,6 @@
 
 #include "common/cli.hpp"
 #include "common/status.hpp"
-#include "common/team.hpp"
 #include "keys/distributions.hpp"
 #include "keys/record.hpp"
 #include "machine/params.hpp"
@@ -135,16 +134,10 @@ struct SortSpec {
   /// paper used for this data-set size.
   std::optional<machine::MachineParams> machine;
 
-  /// Host execution engine for the simulated ranks. Virtual times are
-  /// bit-identical across engines; this only changes how fast the host
-  /// runs the simulation. Default: default_spmd_engine() (cooperative
-  /// fibers unless overridden by DSMSORT_ENGINE).
-  std::optional<SpmdEngine> engine;
-
-  /// Host kernel backend for the radix histogram/permute loops. Like
-  /// `engine`, this is charge-invariant: virtual times, figure tables and
-  /// service replay output are bit-identical across backends (DESIGN.md
-  /// §9). Default: optimized, or DSMSORT_KERNELS / --kernels override.
+  /// Host kernel backend for the radix histogram/permute loops. It is
+  /// charge-invariant: virtual times, figure tables and service replay
+  /// output are bit-identical across backends (DESIGN.md §9). Default:
+  /// optimized, or DSMSORT_KERNELS / --kernels override.
   KernelBackend kernel_backend = default_kernel_backend();
 
   /// Model-specific ablation knobs, grouped: every member has the paper's

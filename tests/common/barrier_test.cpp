@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/team.hpp"
+
 namespace dsm {
 namespace {
 
@@ -74,6 +76,25 @@ TEST(CentralBarrier, CompletionRunsBeforeRelease) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(saw_stale.load());
+}
+
+TEST(CentralBarrier, StressManyRanksManyRounds) {
+  constexpr int kRanks = 64;
+  constexpr int kRounds = 50;
+  CentralBarrier b(kRanks);
+  std::atomic<std::uint64_t> sum{0};
+  int completions = 0;  // written only by each round's last arriver
+  run_spmd(kRanks, [&](int r) {
+    for (int round = 0; round < kRounds; ++round) {
+      sum.fetch_add(static_cast<std::uint64_t>(r));
+      b.arrive_and_wait([&] {
+        EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(round + 1) *
+                                  (kRanks - 1) * kRanks / 2);
+        ++completions;
+      });
+    }
+  });
+  EXPECT_EQ(completions, kRounds);
 }
 
 TEST(CentralBarrier, PoisonWakesWaiters) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <string>
 
+#include "common/barrier.hpp"
 #include "common/error.hpp"
 
 namespace dsm {
@@ -54,6 +57,76 @@ TEST(RunSpmd, PropagatesLowestRankException) {
 TEST(RunSpmd, RejectsBadArguments) {
   EXPECT_THROW(run_spmd(0, [](int) {}), Error);
   EXPECT_THROW(run_spmd(4, {}), Error);
+}
+
+// A team whose failing rank poisons the barrier, as sim::SimTeam::run
+// does, so ranks parked in a round are released instead of waiting on it.
+void run_team(CentralBarrier& b, const std::function<void(int)>& body) {
+  run_spmd(b.parties(), [&](int r) {
+    try {
+      body(r);
+    } catch (...) {
+      b.poison();
+      throw;
+    }
+  });
+}
+
+TEST(RunSpmd, PoisonedTeamRefusesReuse) {
+  CentralBarrier b(4);
+  b.poison();
+  std::atomic<int> entered{0};
+  try {
+    run_team(b, [&](int) {
+      entered.fetch_add(1);
+      b.arrive_and_wait();
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("barrier poisoned"),
+              std::string::npos);
+  }
+  EXPECT_EQ(entered.load(), 4);
+}
+
+// Ranks released by the poison throw too, some of them at lower ranks
+// than the thrower; the cause, not a wake-up, is what the caller sees.
+TEST(RunSpmd, RethrowsTheErrorThatPoisonedTheTeam) {
+  CentralBarrier b(8);
+  std::atomic<int> released{0};
+  try {
+    run_team(b, [&](int r) {
+      b.arrive_and_wait();
+      if (r == 5) throw Error("rank 5 failed");
+      try {
+        b.arrive_and_wait();
+      } catch (const BarrierPoisoned&) {
+        released.fetch_add(1);
+        throw;
+      }
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 5"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(released.load(), 7);
+  EXPECT_TRUE(b.poisoned());
+}
+
+TEST(RunSpmd, RethrowsAThrowingCompletion) {
+  CentralBarrier b(4);
+  try {
+    run_team(b, [&](int) {
+      b.arrive_and_wait([] { throw Error("completion failed"); });
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("completion failed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(b.poisoned());
 }
 
 TEST(RunSpmd, SixtyFourRanks) {

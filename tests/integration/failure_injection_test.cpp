@@ -3,6 +3,8 @@
 // team must refuse further use.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "msg/communicator.hpp"
 #include "sas/prefix_tree.hpp"
 #include "shmem/shmem.hpp"
@@ -22,6 +24,24 @@ TEST(FailureInjection, RankThrowsInsideCollectivePhase) {
     ctx.barrier();
   }),
                Error);
+}
+
+// The ranks released by the poison throw too, most of them at lower
+// ranks than the thrower; the caller must see the cause.
+TEST(FailureInjection, RethrowsTheFailureNotThePoisonWakeups) {
+  sim::SimTeam team(8, origin());
+  try {
+    team.run([](sim::ProcContext& ctx) {
+      ctx.barrier();
+      if (ctx.rank() == 6) throw Error("injected at rank 6");
+      ctx.barrier();
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected at rank 6"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FailureInjection, PoisonedTeamRefusesReuse) {

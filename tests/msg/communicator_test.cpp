@@ -182,11 +182,13 @@ TEST(Communicator, StagedExchangeSlowerThanDirect) {
     std::vector<std::uint32_t> payload(1 << 16, 7);
     team.run([&](sim::ProcContext& ctx) {
       std::vector<Communicator::Send> sends;
-      int slot = 0;
       for (int d = 0; d < 4; ++d) {
         if (d == ctx.rank()) continue;
+        // Each sender owns one slot of each destination window, so no
+        // two ranks write the same bytes concurrently.
+        const int slot = ctx.rank() < d ? ctx.rank() : ctx.rank() - 1;
         sends.push_back(Communicator::Send{
-            d, static_cast<std::uint64_t>(slot++) * payload.size() * 4,
+            d, static_cast<std::uint64_t>(slot) * payload.size() * 4,
             bytes_of(payload).data(), payload.size() * 4});
       }
       comm.exchange(ctx, sends,

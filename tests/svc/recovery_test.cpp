@@ -30,10 +30,12 @@ namespace {
 constexpr std::uint64_t kAnySeq = ~std::uint64_t{0};
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  // The sanitizer tiers rebuild this file and ctest may run both copies
+  // of a test at once against the same TempDir, so the directory is per
+  // process; durable state from an earlier run must not leak in either.
+  const std::string dir = ::testing::TempDir() + "/" + name + "." +
+                          std::to_string(::getpid());
   ::mkdir(dir.c_str(), 0755);
-  // The sanitizer tiers rebuild this file and run against the same
-  // TempDir; durable state from an earlier binary must not leak in.
   if (DIR* d = ::opendir(dir.c_str())) {
     while (const dirent* e = ::readdir(d)) {
       const std::string f = e->d_name;
