@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -60,6 +61,47 @@ TEST(CentralBarrier, CompletionRunsExactlyOncePerRound) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(completions.load(), kRounds);
+}
+
+TEST(CentralBarrier, CompletionRunsOncePerRoundAfterAllArrive) {
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 3;
+  CentralBarrier b(kRanks);
+  std::atomic<int> before{0};
+  int rounds = 0;  // written only by each round's last arriver
+  run_spmd(kRanks, [&](int) {
+    for (int round = 0; round < kRounds; ++round) {
+      before.fetch_add(1);
+      b.arrive_and_wait([&] {
+        // Every rank of this round must have arrived already.
+        EXPECT_EQ(before.load(), kRanks * (rounds + 1));
+        ++rounds;
+      });
+    }
+  });
+  EXPECT_EQ(rounds, kRounds);
+}
+
+TEST(CentralBarrier, BarrierOrdersRoundsAcrossRanks) {
+  constexpr int kRanks = 16;
+  constexpr int kRounds = 4;
+  CentralBarrier b(kRanks);
+  std::mutex mu;
+  std::vector<int> log;
+  run_spmd(kRanks, [&](int) {
+    for (int round = 0; round < kRounds; ++round) {
+      {
+        std::lock_guard lock(mu);
+        log.push_back(round);
+      }
+      b.arrive_and_wait();
+    }
+  });
+  // Rounds never interleave: the log is 16 zeros, then 16 ones, ...
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kRanks * kRounds));
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i], static_cast<int>(i / kRanks)) << i;
+  }
 }
 
 TEST(CentralBarrier, CompletionRunsBeforeRelease) {

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/barrier.hpp"
 #include "common/error.hpp"
@@ -19,6 +20,24 @@ TEST(RunSpmd, RunsEveryRankExactlyOnce) {
   run_spmd(8, [&](int r) {
     std::lock_guard lock(mu);
     EXPECT_TRUE(ranks.insert(r).second);
+  });
+  EXPECT_EQ(ranks.size(), 8u);
+  EXPECT_EQ(*ranks.begin(), 0);
+  EXPECT_EQ(*ranks.rbegin(), 7);
+}
+
+// Rank 0 runs on the calling thread and every other rank on a thread of
+// its own.
+TEST(RunSpmd, RunsEveryRankExactlyOnceOnItsOwnThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::set<int> ranks;
+  std::set<std::thread::id> threads;
+  run_spmd(8, [&](int r) {
+    std::lock_guard lock(mu);
+    EXPECT_TRUE(ranks.insert(r).second);
+    EXPECT_TRUE(threads.insert(std::this_thread::get_id()).second);
+    EXPECT_EQ(r == 0, std::this_thread::get_id() == caller) << r;
   });
   EXPECT_EQ(ranks.size(), 8u);
   EXPECT_EQ(*ranks.begin(), 0);
@@ -72,6 +91,36 @@ void run_team(CentralBarrier& b, const std::function<void(int)>& body) {
   });
 }
 
+// A one-rank team starts no thread, and its barrier rounds complete
+// inline.
+TEST(RunSpmd, SingleRankTeamCompletesRoundsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  CentralBarrier b(1);
+  int calls = 0;
+  run_team(b, [&](int r) {
+    EXPECT_EQ(r, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+    b.arrive_and_wait([&] { ++calls; });
+  });
+  EXPECT_EQ(calls, 2);
+}
+
+// A run refused for its arguments starts no rank, so it cannot poison the
+// team's barrier.
+TEST(RunSpmd, RejectedRunLeavesTheTeamUsable) {
+  EXPECT_THROW(CentralBarrier(0), Error);
+  CentralBarrier b(2);
+  EXPECT_THROW(run_spmd(b.parties(), {}), Error);
+  EXPECT_EQ(b.parties(), 2);
+  EXPECT_FALSE(b.poisoned());
+  std::atomic<int> completions{0};
+  run_team(b, [&](int) {
+    b.arrive_and_wait([&] { completions.fetch_add(1); });
+  });
+  EXPECT_EQ(completions.load(), 1);
+}
+
 TEST(RunSpmd, PoisonedTeamRefusesReuse) {
   CentralBarrier b(4);
   b.poison();
@@ -90,7 +139,8 @@ TEST(RunSpmd, PoisonedTeamRefusesReuse) {
 }
 
 // Ranks released by the poison throw too, some of them at lower ranks
-// than the thrower; the cause, not a wake-up, is what the caller sees.
+// than the throwers; the lowest-ranked cause, not a wake-up, is what the
+// caller sees.
 TEST(RunSpmd, RethrowsTheErrorThatPoisonedTheTeam) {
   CentralBarrier b(8);
   std::atomic<int> released{0};
@@ -98,6 +148,7 @@ TEST(RunSpmd, RethrowsTheErrorThatPoisonedTheTeam) {
     run_team(b, [&](int r) {
       b.arrive_and_wait();
       if (r == 5) throw Error("rank 5 failed");
+      if (r == 2) throw Error("rank 2 failed");
       try {
         b.arrive_and_wait();
       } catch (const BarrierPoisoned&) {
@@ -107,10 +158,48 @@ TEST(RunSpmd, RethrowsTheErrorThatPoisonedTheTeam) {
     });
     FAIL() << "expected throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 5"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("rank 2"), std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(released.load(), 7);
+  EXPECT_EQ(released.load(), 6);
+  EXPECT_TRUE(b.poisoned());
+}
+
+// Counts destructor runs, proving a rank's stack was unwound rather than
+// abandoned.
+struct Sentinel {
+  std::atomic<int>* count;
+  explicit Sentinel(std::atomic<int>* c) : count(c) {}
+  ~Sentinel() { count->fetch_add(1); }
+};
+
+// A rank failing mid-run releases every rank parked in the next round
+// with "barrier poisoned", and every rank's stack unwinds.
+TEST(RunSpmd, PoisonReleasesAndUnwindsEveryParkedRank) {
+  CentralBarrier b(16);
+  std::atomic<int> destroyed{0};
+  std::atomic<int> released{0};
+  try {
+    run_team(b, [&](int r) {
+      const Sentinel guard(&destroyed);
+      b.arrive_and_wait();
+      if (r == 7) throw Error("rank 7 failed mid-run");
+      try {
+        b.arrive_and_wait();
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("barrier poisoned"),
+                  std::string::npos);
+        released.fetch_add(1);
+        throw;
+      }
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 7"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(destroyed.load(), 16);
+  EXPECT_EQ(released.load(), 15);
   EXPECT_TRUE(b.poisoned());
 }
 
