@@ -178,14 +178,6 @@ struct KernelCell {
   double speedup = 0;
 };
 
-/// Both backends of a cell run rep by rep in turn, the first of each pair
-/// swapping every rep, so a burst of host noise lands on both of them
-/// rather than on one backend's block of reps.
-constexpr sort::KernelBackend kBackendPair[2] = {
-    sort::KernelBackend::kReference, sort::KernelBackend::kOptimized};
-
-int backend_in_turn(int rep, int turn) { return (rep + turn) % 2; }
-
 /// Per-(n, radix_bits) kernel times, best of `reps` full sorts per
 /// backend, on the same gauss input both backends must sort identically.
 KernelCell timed_kernel_cell(std::uint64_t n, int radix_bits, int reps,
@@ -203,18 +195,24 @@ KernelCell timed_kernel_cell(std::uint64_t n, int radix_bits, int reps,
 
   std::vector<Key> work(n), tmp(n), expect;
   sort::RadixWorkspace ws;
-  KernelSplit* const best[2] = {&cell.reference, &cell.optimized};
-  for (int rep = 0; rep < reps; ++rep) {
-    for (int turn = 0; turn < 2; ++turn) {
-      const int b = backend_in_turn(rep, turn);
+  auto best_of = [&](sort::KernelBackend be) {
+    KernelSplit best;
+    double best_total = 0;
+    for (int rep = 0; rep < reps; ++rep) {
       std::copy(input.begin(), input.end(), work.begin());
       const KernelSplit s =
-          timed_kernel_sort(kBackendPair[b], work, tmp, radix_bits, ws);
-      if (rep == 0 || s.total() < best[b]->total()) *best[b] = s;
-      if (expect.empty()) expect = work;  // rep 0's reference output
-      DSM_CHECK(work == expect, "kernel backends disagree on sorted output");
+          timed_kernel_sort(be, work, tmp, radix_bits, ws);
+      if (rep == 0 || s.total() < best_total) {
+        best = s;
+        best_total = s.total();
+      }
     }
-  }
+    return best;
+  };
+  cell.reference = best_of(sort::KernelBackend::kReference);
+  expect = work;  // reference's sorted output
+  cell.optimized = best_of(sort::KernelBackend::kOptimized);
+  DSM_CHECK(work == expect, "kernel backends disagree on sorted output");
   cell.speedup = cell.reference.total() / cell.optimized.total();
   return cell;
 }
@@ -313,24 +311,26 @@ AlgoKernelCell timed_algo_kernel_cell(const char* algo, keys::Dist dist,
   std::vector<Key> work(n), tmp(n), expect;
   sort::RadixWorkspace ws;
   const bool is_msd = std::string(algo) == "msd";
-  double* const best[2] = {&cell.reference_s, &cell.optimized_s};
-  for (int rep = 0; rep < reps; ++rep) {
-    for (int turn = 0; turn < 2; ++turn) {
-      const int b = backend_in_turn(rep, turn);
+  auto best_of = [&](sort::KernelBackend be) {
+    double best = 0;
+    for (int rep = 0; rep < reps; ++rep) {
       std::copy(input.begin(), input.end(), work.begin());
       const double t0 = now_s();
       if (is_msd) {
-        sort::seq_msd_sort(work, kBackendPair[b], ws);
+        sort::seq_msd_sort(work, be, ws);
       } else {
-        sort::seq_merge_sort(work, tmp, 11, kBackendPair[b], ws);
+        sort::seq_merge_sort(work, tmp, 11, be, ws);
       }
       const double s = now_s() - t0;
-      if (rep == 0 || s < *best[b]) *best[b] = s;
-      if (expect.empty()) expect = work;  // rep 0's reference output
-      DSM_CHECK(work == expect,
-                "algo kernel backends disagree on sorted output");
+      if (rep == 0 || s < best) best = s;
     }
-  }
+    return best;
+  };
+  cell.reference_s = best_of(sort::KernelBackend::kReference);
+  expect = work;
+  cell.optimized_s = best_of(sort::KernelBackend::kOptimized);
+  DSM_CHECK(work == expect,
+            "algo kernel backends disagree on sorted output");
   cell.speedup = cell.reference_s / cell.optimized_s;
   return cell;
 }

@@ -5,12 +5,25 @@
 namespace dsm {
 namespace {
 
-// Yields before sleeping: enough to cover a round whose members arrive
-// together, few enough that a waiter behind a long local phase soon
-// sleeps.
+// Enough yields to cover a round whose members arrive together, few
+// enough that a waiter behind a long local phase soon sleeps.
 constexpr int kSpins = 64;
 
 }  // namespace
+
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t old, bool spin) {
+  std::uint32_t now = word.load(std::memory_order_acquire);
+  for (int i = 0; spin && i < kSpins && now == old; ++i) {
+    std::this_thread::yield();
+    now = word.load(std::memory_order_acquire);
+  }
+  while (now == old) {
+    word.wait(old, std::memory_order_acquire);
+    now = word.load(std::memory_order_acquire);
+  }
+  return now;
+}
 
 CentralBarrier::CentralBarrier(int parties)
     : parties_(parties),
@@ -40,15 +53,7 @@ void CentralBarrier::arrive_and_wait(const std::function<void()>& completion) {
     state_.notify_all();
     return;
   }
-  std::uint32_t now = seen;
-  for (int i = 0; spin_ && i < kSpins && now == seen; ++i) {
-    std::this_thread::yield();
-    now = state_.load(std::memory_order_acquire);
-  }
-  while (now == seen) {
-    state_.wait(seen, std::memory_order_acquire);
-    now = state_.load(std::memory_order_acquire);
-  }
+  const std::uint32_t now = await_change(state_, seen, spin_);
   if ((now >> 1) == (seen >> 1)) throw BarrierPoisoned();
 }
 

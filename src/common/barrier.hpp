@@ -22,6 +22,13 @@ class BarrierPoisoned : public Error {
   BarrierPoisoned() : Error("barrier poisoned: a team member failed") {}
 };
 
+/// Returns `word`'s value once it no longer holds `old`. With `spin`, it
+/// yields a few times before it sleeps: a barrier round whose members
+/// arrive together, or a parked rank thread's next task, usually comes
+/// within microseconds, and a futex sleep and wake-up costs ~10 us.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t old, bool spin);
+
 class CentralBarrier {
  public:
   explicit CentralBarrier(int parties);
@@ -50,10 +57,8 @@ class CentralBarrier {
   static constexpr std::uint32_t kPoisonedBit = 1;
 
   const int parties_;
-  // A team with no more members than hardware threads yields briefly
-  // before it sleeps: its rounds usually release within microseconds,
-  // and a futex sleep and wake-up costs ~10 us per round. An
-  // oversubscribed team sleeps at once.
+  // Only a team with no more members than hardware threads spins; an
+  // oversubscribed one sleeps at once.
   const bool spin_;
   std::atomic<int> arrived_{0};
   // 2 x released rounds, plus kPoisonedBit; waiters wait for it to change.

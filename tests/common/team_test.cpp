@@ -6,6 +6,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "common/barrier.hpp"
@@ -216,6 +217,35 @@ TEST(RunSpmd, RethrowsAThrowingCompletion) {
         << e.what();
   }
   EXPECT_TRUE(b.poisoned());
+}
+
+// A rank thread the OS refuses to start fails the run before any rank
+// runs, so no rank is left parked in a round waiting for it, the team is
+// not poisoned, and the next run starts every rank.
+TEST(RunSpmd, RefusedThreadStartFailsTheRunBeforeAnyRankRuns) {
+  // More ranks than any other test runs, so threads must be started.
+  constexpr int kRanks = 96;
+  int starts = 0;
+  detail::set_thread_start_hook([&] {
+    if (++starts == 3) {
+      throw std::system_error(
+          std::make_error_code(std::errc::resource_unavailable_try_again),
+          "thread start refused");
+    }
+  });
+  CentralBarrier b(kRanks);
+  std::atomic<int> entered{0};
+  const auto body = [&](int) {
+    entered.fetch_add(1);
+    b.arrive_and_wait();
+  };
+  EXPECT_THROW(run_team(b, body), std::system_error);
+  detail::set_thread_start_hook({});
+  EXPECT_EQ(starts, 3);
+  EXPECT_EQ(entered.load(), 0);
+  EXPECT_FALSE(b.poisoned());
+  run_team(b, body);
+  EXPECT_EQ(entered.load(), kRanks);
 }
 
 TEST(RunSpmd, SixtyFourRanks) {

@@ -5,14 +5,15 @@
 // quarantined, journal damage surfaced in Metrics rather than hidden.
 #include "svc/recovery.hpp"
 
-#include <dirent.h>
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -29,22 +30,29 @@ namespace {
 
 constexpr std::uint64_t kAnySeq = ~std::uint64_t{0};
 
-std::string fresh_dir(const std::string& name) {
-  // The sanitizer tiers rebuild this file and ctest may run both copies
-  // of a test at once against the same TempDir, so the directory is per
-  // process; durable state from an earlier run must not leak in either.
-  const std::string dir = ::testing::TempDir() + "/" + name + "." +
-                          std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (const dirent* e = ::readdir(d)) {
-      const std::string f = e->d_name;
-      if (f != "." && f != "..") ::unlink((dir + "/" + f).c_str());
+/// A new, empty directory under TempDir, removed with its contents when
+/// the test ends. mkdtemp gives it a unique name, so copies of a test
+/// built into the sanitizer tiers can run at once.
+class FreshDir {
+ public:
+  explicit FreshDir(const std::string& name)
+      : path_(::testing::TempDir() + "/" + name + ".XXXXXX") {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw Error("mkdtemp " + path_ + ": " + std::strerror(errno));
     }
-    ::closedir(d);
   }
-  return dir;
-}
+  ~FreshDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  FreshDir(const FreshDir&) = delete;
+  FreshDir& operator=(const FreshDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 ServiceConfig durable_config(const std::string& dir) {
   ServiceConfig cfg;
@@ -127,10 +135,10 @@ std::string reference_calibration(const std::vector<JobSpec>& trace) {
 }
 
 TEST(DurableService, NoCrashMatchesNonDurableReference) {
-  const std::string dir = fresh_dir("dur_nocrash");
+  const FreshDir dir("dur_nocrash");
   const std::vector<JobSpec> trace = crash_trace(8);
 
-  SortService svc(durable_config(dir));
+  SortService svc(durable_config(dir.path()));
   EXPECT_FALSE(svc.recovery_report().performed);  // fresh directory
   for (const JobSpec& j : trace) {
     EXPECT_EQ(svc.submit(j), Admission::kAccepted);
@@ -154,17 +162,17 @@ TEST(DurableService, NoCrashMatchesNonDurableReference) {
 }
 
 TEST(DurableService, RestartAfterCleanDrainReplaysWithoutRerunning) {
-  const std::string dir = fresh_dir("dur_restart");
+  const FreshDir dir("dur_restart");
   const std::vector<JobSpec> trace = crash_trace(6);
   std::string calibration;
   {
-    SortService svc(durable_config(dir));
+    SortService svc(durable_config(dir.path()));
     for (const JobSpec& j : trace) svc.submit(j);
     svc.start();
     svc.drain();
     calibration = svc.planner().calibration_json();
   }
-  SortService again(durable_config(dir));
+  SortService again(durable_config(dir.path()));
   const RecoveryReport& rep = again.recovery_report();
   EXPECT_TRUE(rep.performed);
   EXPECT_TRUE(rep.snapshot_loaded);
@@ -210,16 +218,15 @@ TEST(CrashMatrix, EveryCrashSiteRecoversToReferenceState) {
   };
   for (const auto& s : kSites) {
     SCOPED_TRACE(s.site);
-    const std::string dir =
-        fresh_dir(std::string("dur_matrix_") + s.site);
+    const FreshDir dir(std::string("dur_matrix_") + s.site);
     CrashSpec crash{s.site, kAnySeq, s.fire_on};
-    ASSERT_EQ(run_incarnation(dir, trace, &crash), 42)
+    ASSERT_EQ(run_incarnation(dir.path(), trace, &crash), 42)
         << "site never fired; matrix entry is dead";
-    ASSERT_EQ(run_incarnation(dir, trace, nullptr), 0);
+    ASSERT_EQ(run_incarnation(dir.path(), trace, nullptr), 0);
 
     // Exactly one terminal per admitted seq: nothing lost, nothing done
     // twice (a re-executed completed job would journal a second one).
-    const auto terms = terminals_by_seq(dir);
+    const auto terms = terminals_by_seq(dir.path());
     ASSERT_EQ(terms.size(), trace.size());
     for (const auto& [seq, records] : terms) {
       EXPECT_EQ(records.size(), 1u) << "seq " << seq;
@@ -228,7 +235,7 @@ TEST(CrashMatrix, EveryCrashSiteRecoversToReferenceState) {
 
     // A post-recovery service restores calibration byte-identical to the
     // uncrashed reference run.
-    SortService verify(durable_config(dir));
+    SortService verify(durable_config(dir.path()));
     EXPECT_EQ(verify.planner().calibration_json(), reference);
     EXPECT_EQ(verify.metrics().counters().completed, trace.size());
     EXPECT_EQ(verify.metrics().counters().accepted, trace.size());
@@ -239,16 +246,16 @@ TEST(CrashMatrix, EveryCrashSiteRecoversToReferenceState) {
 
 TEST(CrashMatrix, RepeatCrasherIsQuarantinedOthersComplete) {
   const std::vector<JobSpec> trace = crash_trace(6);
-  const std::string dir = fresh_dir("dur_quarantine");
+  const FreshDir dir("dur_quarantine");
   // The process dies every time job seq 2 starts executing.
   CrashSpec crash{"exec.", 2, 1};
-  ASSERT_EQ(run_incarnation(dir, trace, &crash), 42);  // first crash
-  ASSERT_EQ(run_incarnation(dir, trace, &crash), 42);  // same site again
+  ASSERT_EQ(run_incarnation(dir.path(), trace, &crash), 42);  // first crash
+  ASSERT_EQ(run_incarnation(dir.path(), trace, &crash), 42);  // same site again
   // Third incarnation quarantines seq 2 before execution: the crash spec
   // never fires and everything else completes.
-  ASSERT_EQ(run_incarnation(dir, trace, &crash), 0);
+  ASSERT_EQ(run_incarnation(dir.path(), trace, &crash), 0);
 
-  const auto terms = terminals_by_seq(dir);
+  const auto terms = terminals_by_seq(dir.path());
   ASSERT_EQ(terms.size(), trace.size());
   for (const auto& [seq, records] : terms) {
     ASSERT_EQ(records.size(), 1u) << "seq " << seq;
@@ -262,12 +269,12 @@ TEST(CrashMatrix, RepeatCrasherIsQuarantinedOthersComplete) {
   }
 
   // The quarantine file names the poison job and its crash history.
-  Result<std::string> qfile = try_read_file(quarantine_path(dir));
+  Result<std::string> qfile = try_read_file(quarantine_path(dir.path()));
   ASSERT_TRUE(qfile.ok());
   EXPECT_NE(qfile->find("\"crash_count\": 2"), std::string::npos) << *qfile;
   EXPECT_NE(qfile->find("execute:"), std::string::npos) << *qfile;
 
-  SortService verify(durable_config(dir));
+  SortService verify(durable_config(dir.path()));
   EXPECT_EQ(verify.metrics().durability().quarantined, 1u);
   EXPECT_EQ(verify.metrics().counters().completed, trace.size() - 1);
   EXPECT_EQ(verify.metrics().counters().failed, 1u);
@@ -277,17 +284,17 @@ TEST(CrashMatrix, RepeatCrasherIsQuarantinedOthersComplete) {
 }
 
 TEST(DurableService, TornJournalTailIsToleratedAndSurfaced) {
-  const std::string dir = fresh_dir("dur_torn");
+  const FreshDir dir("dur_torn");
   const std::vector<JobSpec> trace = crash_trace(4);
   {
-    SortService svc(durable_config(dir));
+    SortService svc(durable_config(dir.path()));
     for (const JobSpec& j : trace) svc.submit(j);
     svc.start();
     svc.drain();
   }
   // Simulate a crash mid-append: a frame header promising more payload
   // than the file holds, at the tail of the newest segment.
-  const std::vector<std::string> segs = list_segments(dir);
+  const std::vector<std::string> segs = list_segments(dir.path());
   ASSERT_FALSE(segs.empty());
   {
     std::ofstream out(segs.back(), std::ios::app | std::ios::binary);
@@ -295,7 +302,7 @@ TEST(DurableService, TornJournalTailIsToleratedAndSurfaced) {
                          'p', 'a', 'r', 't'};
     out.write(torn, sizeof torn);
   }
-  SortService svc(durable_config(dir));
+  SortService svc(durable_config(dir.path()));
   EXPECT_EQ(svc.recovery_report().torn_tails, 1u);
   EXPECT_EQ(svc.recovery_report().corrupt_records, 0u);
   EXPECT_EQ(svc.metrics().durability().journal_torn_tail, 1u);
@@ -309,10 +316,10 @@ TEST(DurableService, TornJournalTailIsToleratedAndSurfaced) {
 }
 
 TEST(DurableService, BitFlippedRecordIsCorruptAndSurfaced) {
-  const std::string dir = fresh_dir("dur_flip");
+  const FreshDir dir("dur_flip");
   const std::vector<JobSpec> trace = crash_trace(4);
   {
-    SortService svc(durable_config(dir));
+    SortService svc(durable_config(dir.path()));
     for (const JobSpec& j : trace) svc.submit(j);
     svc.start();
     svc.drain();
@@ -320,7 +327,7 @@ TEST(DurableService, BitFlippedRecordIsCorruptAndSurfaced) {
   // Append a fully-framed record whose CRC does not match its payload:
   // recovery must stop at the damage and report it, not trust framing
   // beyond it.
-  const std::vector<std::string> segs = list_segments(dir);
+  const std::vector<std::string> segs = list_segments(dir.path());
   ASSERT_FALSE(segs.empty());
   {
     const std::string payload = "999 mark 0 5:phase";
@@ -338,7 +345,7 @@ TEST(DurableService, BitFlippedRecordIsCorruptAndSurfaced) {
     std::ofstream out(segs.back(), std::ios::app | std::ios::binary);
     out << frame;
   }
-  SortService svc(durable_config(dir));
+  SortService svc(durable_config(dir.path()));
   EXPECT_EQ(svc.recovery_report().corrupt_records, 1u);
   EXPECT_EQ(svc.metrics().durability().journal_corrupt, 1u);
   // The valid prefix (everything the snapshot covers) still restores.
@@ -347,14 +354,15 @@ TEST(DurableService, BitFlippedRecordIsCorruptAndSurfaced) {
 }
 
 TEST(DurableService, ReplayIsRefusedInDurableMode) {
-  const std::string dir = fresh_dir("dur_noreplay");
-  SortService svc(durable_config(dir));
+  const FreshDir dir("dur_noreplay");
+  SortService svc(durable_config(dir.path()));
   EXPECT_THROW(svc.replay(crash_trace(2)), Error);
   svc.drain();
 }
 
 TEST(DurableService, RequiresSingleWorker) {
-  ServiceConfig cfg = durable_config(fresh_dir("dur_workers"));
+  const FreshDir dir("dur_workers");
+  ServiceConfig cfg = durable_config(dir.path());
   cfg.workers = 2;
   EXPECT_THROW(SortService{cfg}, Error);
 }
