@@ -223,7 +223,7 @@ TEST(RunSpmd, RethrowsAThrowingCompletion) {
 // runs, so no rank is left parked in a round waiting for it, the team is
 // not poisoned, and the next run starts every rank.
 TEST(RunSpmd, RefusedThreadStartFailsTheRunBeforeAnyRankRuns) {
-  // More ranks than any other test runs, so threads must be started.
+  // More ranks than the pool keeps parked, so threads must be started.
   constexpr int kRanks = 96;
   int starts = 0;
   detail::set_thread_start_hook([&] {
