@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/team.hpp"
 
 namespace dsm::sim {
 
@@ -52,23 +51,45 @@ void run_indexed(std::size_t count, int jobs,
                  const std::function<void(std::size_t)>& work) {
   DSM_REQUIRE(static_cast<bool>(work), "sweep needs a work function");
   if (count == 0) return;
-  const std::size_t workers =
-      std::min(static_cast<std::size_t>(resolve_jobs(jobs)), count);
-  // Dynamic scheduling (cells vary widely in cost) with per-index error
-  // capture, so every cell runs and the reported failure is independent
-  // of the schedule. One worker runs inline on the calling thread.
+  const auto workers = static_cast<std::size_t>(resolve_jobs(jobs));
   std::vector<std::exception_ptr> errors(count);
-  std::atomic<std::size_t> next{0};
-  run_spmd(static_cast<int>(workers), [&](int) {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+  if (workers <= 1 || count == 1) {
+    // Same observable contract as the pool below: every cell runs (cells
+    // are independent), and the smallest failing index is reported.
+    for (std::size_t i = 0; i < count; ++i) {
       try {
         work(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
     }
-  });
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+    return;
+  }
+
+  // Dynamic scheduling (cells vary widely in cost) with per-index error
+  // capture so the reported failure is independent of the schedule.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        work(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(std::min(workers, count) - 1);
+  for (std::size_t w = 1; w < std::min(workers, count); ++w) {
+    pool.emplace_back(worker);
+  }
+  worker();  // the calling thread is worker 0
+  for (std::thread& t : pool) t.join();
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }

@@ -3,15 +3,15 @@
 //
 // Every bench harness is a sweep over independent (n, p, model, radix)
 // cells; each cell is a self-contained simulation (its own SimTeam, its
-// own thread-local input cache), so cells can run on a few host threads
-// (run_spmd's, common/team.hpp). Determinism contract: for any job count,
+// own thread-local input cache), so cells can run on a small host thread
+// pool. Determinism contract: for any job count,
 //
 //   * results land in index order (workers write only their own slot);
 //   * if any cell throws, every cell still runs, and the error with the
 //     smallest index is rethrown — exactly what a serial loop reports.
 //
-// jobs <= 1 runs inline on the calling thread; jobs == 0 means "all
-// hardware threads". default_jobs() reads the
+// jobs <= 1 runs inline on the calling thread (no pool, no atomics);
+// jobs == 0 means "all hardware threads". default_jobs() reads the
 // DSMSORT_JOBS environment variable (unset or empty ⇒ 1, i.e. serial);
 // anything else must be a full base-10 non-negative integer — garbage,
 // trailing junk, and negative values throw dsm::Error.
