@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "sim/team.hpp"
 #include "sort/input_cache.hpp"
+#include "sort/kernels.hpp"
 #include "sort/model_runtime.hpp"
 #include "sort/seq_radix.hpp"
 #include "sort/verify.hpp"
@@ -98,6 +99,19 @@ SortResult finish(const SortSpec& spec, sim::SimTeam& team,
   return res;
 }
 
+/// Frees the rank's thread-local radix workspace when its body ends,
+/// however it ends, except on rank 0. Ranks 1..p-1 run on pooled threads
+/// that outlive the sort (common/team.hpp), and a kept workspace stays
+/// sized for the largest share of keys its thread ever sorted: on the
+/// paper mix that held peak RSS ~12% higher. Rank 0 runs on the calling
+/// thread, whose workspace the caller's next sort reuses.
+struct WorkspaceRelease {
+  bool pooled_thread;
+  ~WorkspaceRelease() {
+    if (pooled_thread) tls_radix_workspace() = RadixWorkspace{};
+  }
+};
+
 /// The one driver: build the team and the model runtime, generate the
 /// input into it (host-side, uncharged — the paper times sorting, not
 /// initialisation), run the algorithm's rank body, finish.
@@ -111,12 +125,15 @@ SortResult run_sort_impl(const SortSpec& spec,
       spec.dist, spec.n, spec.nprocs, spec.radix_bits, spec.seed, rt->homes(),
       [&](int r) { return rt->part(0, r); });
   const std::uint64_t input_pairs = rt->label_payloads();
-  if (spec.algo == Algo::kRadix) {
-    team.run([&](sim::ProcContext& ctx) { radix_rank(ctx, *rt); });
-  } else {
-    // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton.
-    team.run([&](sim::ProcContext& ctx) { sample_rank(ctx, *rt); });
-  }
+  team.run([&](sim::ProcContext& ctx) {
+    const WorkspaceRelease release{ctx.rank() != 0};
+    if (spec.algo == Algo::kRadix) {
+      radix_rank(ctx, *rt);
+    } else {
+      // kSample, kMsdRadix and kMergesort all run the sample-sort skeleton.
+      sample_rank(ctx, *rt);
+    }
+  });
   return finish(spec, team, *rt, input, input_pairs);
 }
 
